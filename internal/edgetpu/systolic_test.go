@@ -31,24 +31,33 @@ func randFC(r *rng.RNG, batch, depth, units int) (in, w, bias, out *tensor.Tenso
 	return in, w, bias, out
 }
 
-// refFC runs the tflite reference int8 kernel on the same problem.
-func refFC(t *testing.T, in, w, bias, out *tensor.Tensor) []int8 {
+// naiveFC is the test oracle for the int8 FULLY_CONNECTED kernel, written
+// independently of it: a plain triple loop with int64 accumulation of
+// (in-zpIn)·w + bias, then fixed-point requantization and an int8 clamp.
+func naiveFC(t testing.TB, in, w, bias, out *tensor.Tensor) []int8 {
 	t.Helper()
-	b := tflite.NewBuilder("ref")
-	inIdx := b.AddInput("in", tensor.Int8, in.Shape...)
-	b.SetQuant(inIdx, *in.Quant)
-	outIdx := b.FullyConnected(inIdx, b.AddConstI8("w", w), b.AddConstI32("bias", bias), "out")
-	b.SetQuant(outIdx, *out.Quant)
-	b.MarkOutput(outIdx)
-	it, err := tflite.NewInterpreter(b.Finish())
+	qm, err := tflite.QuantizeMultiplier(in.Quant.Scale * w.Quant.Scale / out.Quant.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(it.Input(0).I8, in.I8)
-	if err := it.Invoke(); err != nil {
-		t.Fatal(err)
+	batch, depth, units := in.Shape[0], in.Shape[1], w.Shape[0]
+	got := make([]int8, batch*units)
+	for b := 0; b < batch; b++ {
+		for u := 0; u < units; u++ {
+			acc := int64(bias.I32[u])
+			for k := 0; k < depth; k++ {
+				acc += (int64(in.I8[b*depth+k]) - int64(in.Quant.ZeroPoint)) * int64(w.I8[u*depth+k])
+			}
+			r := int64(out.Quant.ZeroPoint) + int64(qm.Apply(int32(acc)))
+			if r > 127 {
+				r = 127
+			} else if r < -128 {
+				r = -128
+			}
+			got[b*units+u] = int8(r)
+		}
 	}
-	return append([]int8(nil), it.Output(0).I8...)
+	return got
 }
 
 func TestSystolicFCBitExactWithReference(t *testing.T) {
@@ -61,7 +70,7 @@ func TestSystolicFCBitExactWithReference(t *testing.T) {
 	}
 	for _, d := range dims {
 		in, w, bias, out := randFC(r, d[0], d[1], d[2])
-		want := refFC(t, in, w, bias, out)
+		want := naiveFC(t, in, w, bias, out)
 		if _, err := a.RunFullyConnected(in, w, bias, out); err != nil {
 			t.Fatalf("dims %v: %v", d, err)
 		}
@@ -165,35 +174,69 @@ func TestLUTCycles(t *testing.T) {
 	}
 }
 
-// Property: the systolic FC agrees with the reference kernel on random
-// shapes and data.
+// fcDevice compiles a single int8 FULLY_CONNECTED over the given problem
+// and loads it on a device, so the delegated FC runs through Device.
+func fcDevice(t testing.TB, in, w, bias, out *tensor.Tensor) *Device {
+	t.Helper()
+	b := tflite.NewBuilder("fc")
+	inIdx := b.AddInput("in", tensor.Int8, in.Shape...)
+	b.SetQuant(inIdx, *in.Quant)
+	outIdx := b.FullyConnected(inIdx, b.AddConstI8("w", w), b.AddConstI32("b", bias), "out")
+	b.SetQuant(outIdx, *out.Quant)
+	b.MarkOutput(outIdx)
+	cm, err := Compile(b.Finish(), DefaultUSB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.DelegatedOps() != 1 {
+		t.Fatalf("FC not delegated: %v", cm.Placements)
+	}
+	dev := NewDevice(DefaultUSB())
+	if _, err := dev.LoadModel(cm); err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+// Property: the array's FC and a delegated FC invoked through the device on
+// a random row prefix (non-zero input zero point) both agree with the naive
+// oracle; device rows past the prefix are never written.
 func TestQuickSystolicMatchesReference(t *testing.T) {
 	a := Array{Rows: 16, Cols: 16}
-	f := func(seed uint64, b8, d8, u8 uint8) bool {
-		batch := int(b8%4) + 1
+	const sentinel = int8(0x55)
+	f := func(seed uint64, b8, d8, u8, r8 uint8) bool {
+		batch := int(b8%6) + 1
 		depth := int(d8%70) + 1
 		units := int(u8%70) + 1
+		rows := int(r8)%batch + 1
 		r := rng.New(seed)
 		in, w, bias, out := randFC(r, batch, depth, units)
-		refB := tflite.NewBuilder("q")
-		inIdx := refB.AddInput("in", tensor.Int8, batch, depth)
-		refB.SetQuant(inIdx, *in.Quant)
-		outIdx := refB.FullyConnected(inIdx, refB.AddConstI8("w", w), refB.AddConstI32("b", bias), "out")
-		refB.SetQuant(outIdx, *out.Quant)
-		refB.MarkOutput(outIdx)
-		it, err := tflite.NewInterpreter(refB.Finish())
-		if err != nil {
-			return false
+		if in.Quant.ZeroPoint == 0 {
+			in.Quant.ZeroPoint = 3
 		}
-		copy(it.Input(0).I8, in.I8)
-		if err := it.Invoke(); err != nil {
-			return false
-		}
+		want := naiveFC(t, in, w, bias, out)
 		if _, err := a.RunFullyConnected(in, w, bias, out); err != nil {
+			t.Log(err)
 			return false
 		}
-		for i := range out.I8 {
-			if out.I8[i] != it.Output(0).I8[i] {
+		for i := range want {
+			if out.I8[i] != want[i] {
+				return false
+			}
+		}
+
+		dev := fcDevice(t, in, w, bias, out)
+		copy(dev.Input(0).I8, in.I8)
+		got := dev.Output(0).I8
+		for i := range got {
+			got[i] = sentinel
+		}
+		if _, err := dev.InvokeBatch(rows); err != nil {
+			t.Log(err)
+			return false
+		}
+		for i := range got {
+			if i < rows*units && got[i] != want[i] || i >= rows*units && got[i] != sentinel {
 				return false
 			}
 		}
