@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race fuzz-smoke chaos-smoke seu-smoke binhd-smoke tenant-smoke online-smoke bench bench-serve bench-binhd experiments examples clean
+.PHONY: all build test vet race fuzz-smoke chaos-smoke seu-smoke binhd-smoke tenant-smoke online-smoke bench bench-serve bench-binhd bench-e2e experiments examples clean
 
 all: vet test
 
@@ -26,11 +26,14 @@ vet:
 # The serving runtime is concurrency-heavy, so its package always runs
 # under the race detector even when the full -race pass is trimmed; the
 # backend conformance suite rides along so every execution backend keeps
-# its contract under the race detector too.
+# its contract under the race detector too. The benchmark harness is a
+# nested module that `./...` cannot see, so it is vetted and tested on its
+# own: an internal API change must not break it silently.
 test:
 	$(GO) vet ./...
 	$(GO) run ./tools/shadowcheck .
 	$(GO) test ./...
+	cd hdcbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./internal/serve/... ./internal/backend/...
 	$(GO) test -race ./...
 	@$(MAKE) chaos-smoke
@@ -117,6 +120,11 @@ bench-serve:
 bench-binhd:
 	BENCH_BINHD_OUT=$(CURDIR)/BENCH_serve.json $(GO) test -run TestWriteBinHDBench -count=1 ./internal/serve/
 	@cat BENCH_serve.json
+
+# The end-to-end benchmark declared in BENCHMARK.json: every workload,
+# built from source into .bench_build, one JSON report per workload.
+bench-e2e:
+	bash hdcbench/run.sh --workload all
 
 # Render every table/figure (and extension study) as text.
 experiments:

@@ -17,15 +17,14 @@
 //     identical outputs and identical Timing, invoke after invoke.
 //   - Row-prefix equivalence: on a row-sliceable model, InvokeBatch(k)
 //     computes exactly the first k output rows of a full invoke.
-//   - Cancellation: a done context fails fast with ctx.Err() before any
-//     work is dispatched, leaving the backend reusable.
-//   - Estimation: for a fault-free backend, EstimateInvoke{,Batch}
-//     returns the same Timing the functional invoke would, without
-//     executing kernels.
+//
+// Cancellation and estimation live one layer up and one layer down: the
+// resilient runner (internal/pipeline) checks the context before it
+// dispatches, and the simulated device (edgetpu.Device.EstimateInvokeBatch)
+// prices an invoke without executing it.
 package backend
 
 import (
-	"context"
 	"time"
 
 	"hdcedge/internal/edgetpu"
@@ -50,11 +49,6 @@ type Caps struct {
 	// with 0 < rows < BatchCapacity) are supported: every activation of
 	// the loaded model must be batch-leading.
 	RowSliceable bool
-
-	// Accelerated reports whether the backend is a discrete accelerator
-	// (pays link transfers, can fault and reset) as opposed to running in
-	// host memory.
-	Accelerated bool
 }
 
 // Backend is one execution engine holding one loaded model. Implementations
@@ -70,36 +64,17 @@ type Backend interface {
 	Caps() Caps
 
 	// Input returns the i-th model input tensor; callers populate it
-	// before Invoke.
+	// before InvokeBatch.
 	Input(i int) *tensor.Tensor
 
 	// Output returns the i-th model output tensor after a successful
 	// invoke.
 	Output(i int) *tensor.Tensor
 
-	// Invoke executes the loaded model once and returns the phase timing.
-	Invoke() (Timing, error)
-
-	// InvokeCtx is Invoke gated on a context: a done context fails fast
-	// with ctx.Err() before any work is dispatched.
-	InvokeCtx(ctx context.Context) (Timing, error)
-
-	// InvokeBatch executes only the first rows sample rows. rows <= 0 or
-	// rows >= BatchCapacity is a full invoke, bit-identical to Invoke;
-	// anything between requires RowSliceable.
+	// InvokeBatch executes the loaded model on the first rows sample rows
+	// and returns the phase timing. rows <= 0 or rows >= BatchCapacity is a
+	// full invoke; anything between requires RowSliceable.
 	InvokeBatch(rows int) (Timing, error)
-
-	// InvokeBatchCtx is InvokeBatch behind the same context gate as
-	// InvokeCtx.
-	InvokeBatchCtx(ctx context.Context, rows int) (Timing, error)
-
-	// EstimateInvoke prices one full invoke without executing kernels or
-	// consuming fault-stream randomness.
-	EstimateInvoke() (Timing, error)
-
-	// EstimateInvokeBatch is EstimateInvoke at an effective batch of rows
-	// occupied sample rows.
-	EstimateInvokeBatch(rows int) (Timing, error)
 
 	// Reset restores the backend to a freshly-loaded state (re-uploading
 	// the model after a reset-class fault, rebuilding interpreter state)

@@ -17,7 +17,6 @@
 package binhd
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -119,10 +118,9 @@ func New(host cpuarch.Spec, bm *hdc.BipolarModel, capacity int) (*Backend, error
 // Name implements backend.Backend.
 func (b *Backend) Name() string { return Name }
 
-// Caps implements backend.Backend: row-sliceable at the built capacity,
-// host-resident (not accelerated).
+// Caps implements backend.Backend: row-sliceable at the built capacity.
 func (b *Backend) Caps() backend.Caps {
-	return backend.Caps{BatchCapacity: b.capacity, RowSliceable: true, Accelerated: false}
+	return backend.Caps{BatchCapacity: b.capacity, RowSliceable: true}
 }
 
 // Model returns the served bipolar model.
@@ -201,49 +199,17 @@ func (b *Backend) price(rows int) time.Duration {
 	return t
 }
 
-// Invoke implements backend.Backend.
-func (b *Backend) Invoke() (backend.Timing, error) { return b.InvokeBatch(0) }
-
-// InvokeCtx implements backend.Backend.
-func (b *Backend) InvokeCtx(ctx context.Context) (backend.Timing, error) {
-	return b.InvokeBatchCtx(ctx, 0)
-}
-
 // InvokeBatch implements backend.Backend: the fused kernel runs on the
 // occupied row prefix and the invoke is priced into the HostFallback
-// phase (this backend *is* host silicon). Invoke, InvokeCtx and
-// InvokeBatchCtx all funnel here, so the live telemetry records each
-// entry exactly once.
+// phase (this backend *is* host silicon).
 func (b *Backend) InvokeBatch(rows int) (backend.Timing, error) {
-	return b.observe(b.invokeBatch(rows))
-}
-
-func (b *Backend) invokeBatch(rows int) (backend.Timing, error) {
 	rows = b.normRows(rows)
 	eff := rows
 	if eff == 0 {
 		eff = b.capacity
 	}
 	b.run(eff)
-	return backend.Timing{HostFallback: b.price(rows)}, nil
-}
-
-// InvokeBatchCtx implements backend.Backend. The kernel is wall-clock
-// fast, so the admission check is the cancellation point, mirroring the
-// other backends.
-func (b *Backend) InvokeBatchCtx(ctx context.Context, rows int) (backend.Timing, error) {
-	if err := ctx.Err(); err != nil {
-		return backend.Timing{}, err
-	}
-	return b.InvokeBatch(rows)
-}
-
-// EstimateInvoke implements backend.Backend.
-func (b *Backend) EstimateInvoke() (backend.Timing, error) { return b.EstimateInvokeBatch(0) }
-
-// EstimateInvokeBatch implements backend.Backend: pricing only, no kernels.
-func (b *Backend) EstimateInvokeBatch(rows int) (backend.Timing, error) {
-	return backend.Timing{HostFallback: b.price(b.normRows(rows))}, nil
+	return b.observe(backend.Timing{HostFallback: b.price(rows)}, nil)
 }
 
 // Reset implements backend.Backend. The packed class words are immutable
@@ -289,7 +255,9 @@ func (b *Backend) encodeBlocks(lo, hi int) {
 // encodePackRows fuses float encode → sign-threshold → bit-pack for rows
 // [r0, r1): C = X·B computed two rows × four features at a time into the
 // scratch accumulators (the first feature initializes, so there is no
-// zeroing pass), each finished row packed straight into b.packed. The
+// zeroing pass), each finished row packed straight into b.packed. An odd
+// last row takes the same four-feature steps alone, so every row sums its
+// features in one order whichever path computes it. The
 // sign of the optional tanh nonlinearity equals the sign of its argument,
 // so no transcendental pass runs and the packed bits still match
 // BipolarModel.Predict exactly.
@@ -341,7 +309,18 @@ func (b *Backend) encodePackRows(r0, r1 int, scratch []float32) {
 		for j, bv := range base[:d] {
 			c0[j] = a0 * bv
 		}
-		for i := 1; i < n; i++ {
+		i := 1
+		for ; i+3 < n; i += 4 {
+			a00, a01, a02, a03 := x0[i], x0[i+1], x0[i+2], x0[i+3]
+			p0 := base[i*d : (i+1)*d][:d]
+			p1 := base[(i+1)*d : (i+2)*d][:d]
+			p2 := base[(i+2)*d : (i+3)*d][:d]
+			p3 := base[(i+3)*d : (i+4)*d][:d]
+			for j, bv0 := range p0 {
+				c0[j] += a00*bv0 + a01*p1[j] + a02*p2[j] + a03*p3[j]
+			}
+		}
+		for ; i < n; i++ {
 			av := x0[i]
 			bi := base[i*d : (i+1)*d][:d]
 			for j, bv := range bi {

@@ -8,6 +8,7 @@ import (
 	"hdcedge/internal/dataset"
 	"hdcedge/internal/hdc"
 	"hdcedge/internal/metrics"
+	"hdcedge/internal/tensor"
 )
 
 // fixture trains a small bipolar model and a backend over it, plus the
@@ -64,7 +65,7 @@ func TestScoresAreExactAgreement(t *testing.T) {
 	n, d, k, capacity := 7, 130, 4, 5
 	b, bm, ds := fixture(t, n, d, k, capacity)
 	copy(b.Input(0).F32, ds.X.F32[:capacity*n])
-	if _, err := b.Invoke(); err != nil {
+	if _, err := b.InvokeBatch(0); err != nil {
 		t.Fatal(err)
 	}
 	enc := make([]float32, d)
@@ -84,6 +85,46 @@ func TestScoresAreExactAgreement(t *testing.T) {
 	}
 }
 
+// TestRowScoresIndependentOfPairing: the fused kernel encodes rows two at a
+// time with a single-row tail, and both paths must sum features in the same
+// order, so a row's packed bits do not depend on which path computed it.
+// The base is built so that the sum's sign hinges on that order: feature by
+// feature, 1 + 1e8 rounds back to 1e8 in float32 and the total comes out
+// -0.5; in four-feature steps it comes out +0.5.
+func TestRowScoresIndependentOfPairing(t *testing.T) {
+	const n, d, capacity = 5, 64, 3
+	column := [n]float32{1, 1e8, -1e8, 1, -1.5}
+	base := tensor.New(tensor.Float32, n, d)
+	for i, v := range column {
+		for j := 0; j < d; j++ {
+			base.F32[i*d+j] = v
+		}
+	}
+	bm := &hdc.BipolarModel{Encoder: &hdc.Encoder{Base: base}, Dim: d, Words: [][]uint64{{^uint64(0)}, {0}}}
+	b, err := New(cpuarch.MobileI5(), bm, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range b.Input(0).F32 {
+		b.Input(0).F32[i] = 1
+	}
+	if _, err := b.InvokeBatch(0); err != nil {
+		t.Fatal(err)
+	}
+	full := append([]int32(nil), b.Output(1).I32...)
+	for r := 0; r < capacity; r++ {
+		if full[2*r] != d || full[2*r+1] != 0 {
+			t.Fatalf("row %d scores %v, want [%d 0] (sum +0.5 in every dim)", r, full[2*r:2*r+2], d)
+		}
+	}
+	if _, err := b.InvokeBatch(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Output(1).I32[:2]; got[0] != full[0] || got[1] != full[1] {
+		t.Fatalf("single-row invoke scores %v, full invoke %v", got, full[:2])
+	}
+}
+
 // TestSteadyStateAllocs: after warm-up, invokes must not allocate — the
 // scratch pool and preallocated tensors absorb everything. Pinned to one P
 // so pool behavior is deterministic.
@@ -92,7 +133,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	b, _, ds := fixture(t, 16, 256, 3, 8)
 	copy(b.Input(0).F32, ds.X.F32[:8*16])
 	for i := 0; i < 3; i++ {
-		if _, err := b.Invoke(); err != nil {
+		if _, err := b.InvokeBatch(0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := b.InvokeBatch(3); err != nil {
@@ -100,12 +141,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := b.Invoke(); err != nil {
+		if _, err := b.InvokeBatch(0); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("steady-state Invoke allocates %.1f objects per run, want 0", allocs)
+		t.Fatalf("steady-state InvokeBatch(0) allocates %.1f objects per run, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(50, func() {
 		if _, err := b.InvokeBatch(3); err != nil {
@@ -138,7 +179,7 @@ func TestPricing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, err := b.EstimateInvoke()
+	full, err := b.InvokeBatch(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +194,7 @@ func TestPricing(t *testing.T) {
 		t.Fatalf("binhd priced accelerator time: %+v", full)
 	}
 
-	half, err := b.EstimateInvokeBatch(capacity / 2)
+	half, err := b.InvokeBatch(capacity / 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +213,12 @@ func TestPricing(t *testing.T) {
 
 	// rows >= capacity and rows <= 0 alias the full batch price.
 	for _, rows := range []int{0, -3, capacity, capacity + 9} {
-		tm, err := b.EstimateInvokeBatch(rows)
+		tm, err := b.InvokeBatch(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tm != full {
-			t.Fatalf("EstimateInvokeBatch(%d) = %+v, want full-batch %+v", rows, tm, full)
+			t.Fatalf("InvokeBatch(%d) = %+v, want full-batch %+v", rows, tm, full)
 		}
 	}
 }
@@ -189,7 +230,7 @@ func TestInstrument(t *testing.T) {
 	b.Instrument(reg, `backend="bin"`)
 	copy(b.Input(0).F32, ds.X.F32[:4*16])
 	for i := 0; i < 3; i++ {
-		if _, err := b.Invoke(); err != nil {
+		if _, err := b.InvokeBatch(0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,9 +1,10 @@
 // Package conformance is the executable contract of backend.Backend: a
 // reusable test suite that every backend implementation must pass. It
 // checks the properties the layers above the seam lean on — determinism,
-// row-prefix (batch ≡ sequential) equivalence, fail-fast context
-// cancellation that leaves the backend reusable, estimate-vs-actual timing
-// consistency on fault-free instances, and reset idempotence.
+// row-prefix (batch ≡ sequential) equivalence, full-batch aliasing, and
+// reset idempotence. Cancellation is the resilient runner's contract and is
+// tested there (internal/pipeline); estimate-vs-actual timing is the
+// simulated device's (internal/edgetpu).
 //
 // Usage, from a backend's test package:
 //
@@ -17,10 +18,7 @@
 package conformance
 
 import (
-	"context"
-	"errors"
 	"testing"
-	"time"
 
 	"hdcedge/internal/backend"
 	"hdcedge/internal/rng"
@@ -37,8 +35,6 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("determinism", func(t *testing.T) { testDeterminism(t, factory) })
 	t.Run("row-prefix", func(t *testing.T) { testRowPrefix(t, factory) })
 	t.Run("full-batch-alias", func(t *testing.T) { testFullBatchAlias(t, factory) })
-	t.Run("cancellation", func(t *testing.T) { testCancellation(t, factory) })
-	t.Run("estimate", func(t *testing.T) { testEstimate(t, factory) })
 	t.Run("reset", func(t *testing.T) { testReset(t, factory) })
 }
 
@@ -135,7 +131,7 @@ func equal(a, b []float64) bool {
 func invoke(t *testing.T, b backend.Backend, seed uint64) (backend.Timing, []float64) {
 	t.Helper()
 	fillInput(t, b, seed)
-	tm, err := b.Invoke()
+	tm, err := b.InvokeBatch(0)
 	if err != nil {
 		t.Fatalf("invoke: %v", err)
 	}
@@ -198,7 +194,7 @@ func testRowPrefix(t *testing.T, factory Factory) {
 }
 
 // testFullBatchAlias: rows <= 0 and rows >= BatchCapacity are full invokes,
-// bit-identical to Invoke in both output and timing.
+// bit-identical to InvokeBatch(0) in both output and timing.
 func testFullBatchAlias(t *testing.T, factory Factory) {
 	a := build(t, factory)
 	tFull, oFull := invoke(t, a, 13)
@@ -214,71 +210,6 @@ func testFullBatchAlias(t *testing.T, factory Factory) {
 		}
 		if !equal(values(t, b.Output(0)), oFull) {
 			t.Fatalf("InvokeBatch(%d) output differs from full invoke", rows)
-		}
-	}
-}
-
-// testCancellation: a done context must fail fast with ctx.Err() before any
-// work is dispatched, leaving the backend fully reusable.
-func testCancellation(t *testing.T, factory Factory) {
-	b := build(t, factory)
-	want, wantOut := invoke(t, b, 3)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	fillInput(t, b, 3)
-	start := time.Now()
-	if _, err := b.InvokeCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled InvokeCtx returned %v", err)
-	}
-	if _, err := b.InvokeBatchCtx(ctx, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled InvokeBatchCtx returned %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Fatalf("cancellation took %v; not fail-fast", elapsed)
-	}
-
-	got, gotOut := invoke(t, b, 3)
-	if got != want {
-		t.Fatalf("post-cancel timing %+v != pre-cancel %+v", got, want)
-	}
-	if !equal(gotOut, wantOut) {
-		t.Fatal("post-cancel output differs; backend not reusable")
-	}
-}
-
-// testEstimate: on a fault-free instance, EstimateInvoke{,Batch} must return
-// exactly the Timing the functional invoke observes — priced before and
-// after execution, without perturbing it.
-func testEstimate(t *testing.T, factory Factory) {
-	b := build(t, factory)
-	est, err := b.EstimateInvoke()
-	if err != nil {
-		t.Fatalf("EstimateInvoke: %v", err)
-	}
-	act, _ := invoke(t, b, 5)
-	if est != act {
-		t.Fatalf("estimate %+v != actual %+v", est, act)
-	}
-	if est2, err := b.EstimateInvoke(); err != nil || est2 != act {
-		t.Fatalf("post-invoke estimate %+v (err %v) != actual %+v", est2, err, act)
-	}
-	caps := b.Caps()
-	if !caps.RowSliceable || caps.BatchCapacity < 2 {
-		return
-	}
-	for _, k := range []int{1, caps.BatchCapacity - 1} {
-		estK, err := b.EstimateInvokeBatch(k)
-		if err != nil {
-			t.Fatalf("EstimateInvokeBatch(%d): %v", k, err)
-		}
-		fillInput(t, b, 5)
-		actK, err := b.InvokeBatch(k)
-		if err != nil {
-			t.Fatalf("InvokeBatch(%d): %v", k, err)
-		}
-		if estK != actK {
-			t.Fatalf("batch-%d estimate %+v != actual %+v", k, estK, actK)
 		}
 	}
 }

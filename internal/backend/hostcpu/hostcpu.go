@@ -12,7 +12,6 @@
 package hostcpu
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -78,7 +77,6 @@ func (b *Backend) Caps() backend.Caps {
 	return backend.Caps{
 		BatchCapacity: b.m.BatchCapacity(),
 		RowSliceable:  b.m.RowSliceable(),
-		Accelerated:   false,
 	}
 }
 
@@ -138,18 +136,9 @@ func (b *Backend) price(rows int) time.Duration {
 	return t
 }
 
-// Invoke implements backend.Backend.
-func (b *Backend) Invoke() (backend.Timing, error) { return b.InvokeBatch(0) }
-
-// InvokeCtx implements backend.Backend.
-func (b *Backend) InvokeCtx(ctx context.Context) (backend.Timing, error) {
-	return b.InvokeBatchCtx(ctx, 0)
-}
-
 // InvokeBatch implements backend.Backend: the reference kernels run on the
 // occupied row prefix and the invoke is priced into the HostFallback phase
-// at the effective batch. Invoke, InvokeCtx and InvokeBatchCtx all funnel
-// here, so the live telemetry records each entry exactly once.
+// at the effective batch.
 func (b *Backend) InvokeBatch(rows int) (backend.Timing, error) {
 	return b.observe(b.invokeBatch(rows))
 }
@@ -162,29 +151,6 @@ func (b *Backend) invokeBatch(rows int) (backend.Timing, error) {
 	}
 	if err := b.interp.InvokeRows(rows); err != nil {
 		return backend.Timing{}, fmt.Errorf("hostcpu: invoke: %w", err)
-	}
-	return backend.Timing{HostFallback: b.price(rows)}, nil
-}
-
-// InvokeBatchCtx implements backend.Backend. The functional invoke is
-// wall-clock instantaneous, so the admission check is the cancellation
-// point, mirroring the simulated device.
-func (b *Backend) InvokeBatchCtx(ctx context.Context, rows int) (backend.Timing, error) {
-	if err := ctx.Err(); err != nil {
-		return backend.Timing{}, err
-	}
-	return b.InvokeBatch(rows)
-}
-
-// EstimateInvoke implements backend.Backend.
-func (b *Backend) EstimateInvoke() (backend.Timing, error) { return b.EstimateInvokeBatch(0) }
-
-// EstimateInvokeBatch implements backend.Backend: pricing only, no kernels.
-func (b *Backend) EstimateInvokeBatch(rows int) (backend.Timing, error) {
-	rows = b.normRows(rows)
-	if rows > 0 && !b.m.RowSliceable() {
-		return backend.Timing{}, fmt.Errorf("hostcpu: model %q is not row-sliceable; cannot price %d of %d rows",
-			b.m.Name, rows, b.m.BatchCapacity())
 	}
 	return backend.Timing{HostFallback: b.price(rows)}, nil
 }

@@ -1,12 +1,11 @@
 // Package tpu adapts the Edge TPU simulator (internal/edgetpu) to the
 // backend.Backend seam: one simulated device with one loaded compiled
 // model, fault plan included. A healthy, fault-free instance is a
-// zero-overhead pass-through — its Invoke timing is bit-identical to
+// zero-overhead pass-through — its InvokeBatch timing is bit-identical to
 // driving the device directly.
 package tpu
 
 import (
-	"context"
 	"time"
 
 	"hdcedge/internal/backend"
@@ -57,7 +56,6 @@ func (b *Backend) Caps() backend.Caps {
 	return backend.Caps{
 		BatchCapacity: b.cm.BatchCapacity(),
 		RowSliceable:  b.cm.Model.RowSliceable(),
-		Accelerated:   true,
 	}
 }
 
@@ -100,30 +98,9 @@ func (b *Backend) Input(i int) *tensor.Tensor { return b.dev.Input(i) }
 // Output implements backend.Backend.
 func (b *Backend) Output(i int) *tensor.Tensor { return b.dev.Output(i) }
 
-// Invoke implements backend.Backend.
-func (b *Backend) Invoke() (backend.Timing, error) { return b.observe(b.dev.Invoke()) }
-
-// InvokeCtx implements backend.Backend.
-func (b *Backend) InvokeCtx(ctx context.Context) (backend.Timing, error) {
-	return b.observe(b.dev.InvokeCtx(ctx))
-}
-
 // InvokeBatch implements backend.Backend.
 func (b *Backend) InvokeBatch(rows int) (backend.Timing, error) {
 	return b.observe(b.dev.InvokeBatch(rows))
-}
-
-// InvokeBatchCtx implements backend.Backend.
-func (b *Backend) InvokeBatchCtx(ctx context.Context, rows int) (backend.Timing, error) {
-	return b.observe(b.dev.InvokeBatchCtx(ctx, rows))
-}
-
-// EstimateInvoke implements backend.Backend.
-func (b *Backend) EstimateInvoke() (backend.Timing, error) { return b.dev.EstimateInvoke() }
-
-// EstimateInvokeBatch implements backend.Backend.
-func (b *Backend) EstimateInvokeBatch(rows int) (backend.Timing, error) {
-	return b.dev.EstimateInvokeBatch(rows)
 }
 
 // Reset re-loads the compiled model, clearing a reset or poisoned device

@@ -1,7 +1,6 @@
 package edgetpu
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -105,10 +104,11 @@ func (d *Device) Output(i int) *tensor.Tensor {
 }
 
 // Invoke executes the loaded model once and returns the phase timing.
-// CPU-placed operators run with the tflite reference kernels priced by the
-// host cost model; TPU-placed FULLY_CONNECTED ops run on the systolic
-// array (bit-exact with the reference); other delegated ops run on the
-// activation pipeline.
+// Every operator executes through the device's own interpreter, so results
+// are bit-identical to the tflite reference; placement decides only the
+// price. CPU-placed operators are priced by the host cost model, delegated
+// FULLY_CONNECTED ops by the systolic array's cycle model, and other
+// delegated ops by the activation pipeline's.
 //
 // With a fault plan armed (InjectFaults), Invoke may return a typed
 // transient error — *LinkError, *ResetError, ErrNoModel, ErrPoisoned —
@@ -131,26 +131,6 @@ func (d *Device) InvokeBatch(rows int) (Timing, error) {
 	return t, err
 }
 
-// InvokeCtx is Invoke gated on a context: a cancelled or expired context
-// fails fast with the context's error before any device work is
-// dispatched, leaving the device state (loaded model, fault stream)
-// untouched. The simulated invoke itself completes instantaneously in
-// wall-clock terms, so the admission check is the cancellation point.
-func (d *Device) InvokeCtx(ctx context.Context) (Timing, error) {
-	if err := ctx.Err(); err != nil {
-		return Timing{}, err
-	}
-	return d.Invoke()
-}
-
-// InvokeBatchCtx is InvokeBatch behind the same context gate as InvokeCtx.
-func (d *Device) InvokeBatchCtx(ctx context.Context, rows int) (Timing, error) {
-	if err := ctx.Err(); err != nil {
-		return Timing{}, err
-	}
-	return d.InvokeBatch(rows)
-}
-
 // EstimateInvoke returns the timing one Invoke would take without
 // executing any kernels. It uses the same cycle and transfer models as
 // Invoke, so runtime experiments can be evaluated at the paper's full
@@ -171,11 +151,13 @@ func (d *Device) EstimateInvokeBatch(rows int) (Timing, error) {
 
 // run is the single op-walk behind Invoke, InvokeProfiled and
 // EstimateInvoke. execute selects functional execution (kernels run, faults
-// inject) versus pure estimation; trace additionally collects per-op
-// traces. rows limits execution and pricing to the first rows sample rows
-// of the batch; rows <= 0 (or >= the compiled batch capacity) is a full
-// invoke and takes exactly the unscaled arithmetic, so the full path stays
-// bit-identical to the pre-batching runtime.
+// inject) versus pure estimation; both price every op from the model's
+// shapes, so an estimate equals the invoke it stands for. trace
+// additionally collects per-op traces. rows limits execution and pricing to
+// the first rows sample rows of the batch; rows <= 0 (or >= the compiled
+// batch capacity) is a full invoke and takes exactly the unscaled
+// arithmetic, so the full path stays bit-identical to the pre-batching
+// runtime.
 func (d *Device) run(execute, trace bool, rows int) (Timing, []OpTrace, error) {
 	if d.loaded == nil {
 		return Timing{}, nil, ErrNoModel
@@ -250,67 +232,37 @@ func (d *Device) run(execute, trace bool, rows int) (Timing, []OpTrace, error) {
 	}
 	var cycles uint64
 	for oi, op := range cm.Model.Operators {
+		// Price first, so an op the accelerator cannot run fails before it
+		// executes; then run it through the interpreter on the row prefix.
 		tr := OpTrace{Op: oi, Code: op.Op, Placement: cm.Placements[oi]}
-		if cm.Placements[oi] == PlaceCPU {
-			if execute {
-				if err := d.interp.InvokeOpRows(oi, vrows); err != nil {
-					d.poisoned = true
-					return t, traces, err
-				}
-			}
+		switch {
+		case tr.Placement == PlaceCPU:
 			tr.HostTime = d.hostOpCost(op, scaleElems)
-			t.HostFallback += tr.HostTime
-			if trace {
-				traces = append(traces, tr)
+		case op.Op == tflite.OpFullyConnected:
+			in := cm.Model.Tensors[op.Inputs[0]]
+			batch := in.Shape[0]
+			if partial {
+				batch = rows
 			}
-			continue
-		}
-		switch op.Op {
-		case tflite.OpFullyConnected:
-			var stats FCStats
-			if execute {
-				in := d.interp.TensorRows(op.Inputs[0], vrows)
-				w := d.interp.Tensor(op.Inputs[1])
-				bias := d.interp.Tensor(op.Inputs[2])
-				out := d.interp.TensorRows(op.Outputs[0], vrows)
-				var err error
-				stats, err = d.array.RunFullyConnected(in, w, bias, out)
-				if err != nil {
-					d.poisoned = true
-					return t, traces, fmt.Errorf("edgetpu: op %d: %w", oi, err)
-				}
-			} else {
-				in := cm.Model.Tensors[op.Inputs[0]]
-				w := cm.Model.Tensors[op.Inputs[1]]
-				batch := in.Shape[0]
-				if partial {
-					batch = rows
-				}
-				stats = d.array.fcCycles(batch, in.Shape[1], w.Shape[0])
-			}
-			tr.Cycles = stats.Cycles
-			tr.MACs = stats.MACs
-			cycles += stats.Cycles
-			t.MACs += stats.MACs
-		case tflite.OpTanh, tflite.OpLogistic, tflite.OpConcat, tflite.OpReshape:
-			var elems int
-			if execute {
-				if err := d.interp.InvokeOpRows(oi, vrows); err != nil {
-					d.poisoned = true
-					return t, traces, err
-				}
-				elems = d.interp.TensorRows(op.Outputs[0], vrows).Elems()
-			} else {
-				elems = scaleElems(cm.Model.Tensors[op.Outputs[0]].Shape.Elems())
-			}
-			tr.Cycles = d.array.lutCycles(elems)
-			cycles += tr.Cycles
+			stats := d.array.fcCycles(batch, in.Shape[1], cm.Model.Tensors[op.Inputs[1]].Shape[0])
+			tr.Cycles, tr.MACs = stats.Cycles, stats.MACs
+		case op.Op == tflite.OpTanh, op.Op == tflite.OpLogistic, op.Op == tflite.OpConcat, op.Op == tflite.OpReshape:
+			tr.Cycles = d.array.lutCycles(scaleElems(cm.Model.Tensors[op.Outputs[0]].Shape.Elems()))
 		default:
 			if execute {
 				d.poisoned = true
 			}
 			return t, traces, fmt.Errorf("edgetpu: op %d (%v) delegated but not executable", oi, op.Op)
 		}
+		if execute {
+			if err := d.interp.InvokeOpRows(oi, vrows); err != nil {
+				d.poisoned = true
+				return t, traces, err
+			}
+		}
+		t.HostFallback += tr.HostTime
+		t.MACs += tr.MACs
+		cycles += tr.Cycles
 		if trace {
 			traces = append(traces, tr)
 		}

@@ -23,13 +23,21 @@ func TestProgramCyclesMatchEstimate(t *testing.T) {
 	if got := cm.ProgramCycles(); got != est.Cycles {
 		t.Fatalf("program cycles %d, estimator reports %d", got, est.Cycles)
 	}
-	// And the functional path must agree too.
-	timing, err := dev.Invoke()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if timing.Cycles != est.Cycles {
-		t.Fatalf("invoke cycles %d vs estimate %d", timing.Cycles, est.Cycles)
+	// And the functional path must agree too: on a fault-free device an
+	// estimate is exactly the Timing the invoke it prices observes, for a
+	// full batch and for row prefixes.
+	for _, rows := range []int{0, 1, cm.BatchCapacity() - 1} {
+		want, err := dev.EstimateInvokeBatch(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dev.InvokeBatch(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("rows %d: invoke %+v vs estimate %+v", rows, got, want)
+		}
 	}
 }
 

@@ -2,22 +2,17 @@ package edgetpu
 
 import (
 	"fmt"
-	"sync"
 
 	"hdcedge/internal/tensor"
 	"hdcedge/internal/tflite"
 )
 
-// accPool recycles the accumulator scratch across RunFullyConnected calls
-// (and across concurrent devices): the serving hot path invokes the array
-// per batch, and per-invoke allocation of batch×units int32s was the
-// dominant steady-state garbage.
-var accPool = sync.Pool{New: func() any { return new([]int32) }}
-
-// Array is the weight-stationary systolic matrix unit. A weight tile of
-// Rows×Cols int8 values is shifted into the array, then activation rows
-// stream through; each cycle every resident PE performs one int8·int8→int32
-// multiply-accumulate.
+// Array is the cycle model of the weight-stationary systolic matrix unit.
+// A weight tile of Rows×Cols int8 values is shifted into the array, then
+// activation rows stream through; each cycle every resident PE performs one
+// int8·int8→int32 multiply-accumulate. The arithmetic itself is the
+// interpreter's int8 kernel: the device executes delegated ops through its
+// interpreter and the Array only prices them.
 type Array struct {
 	Rows, Cols int
 }
@@ -57,95 +52,13 @@ func (a Array) lutCycles(elems int) uint64 {
 	return uint64((elems + a.Cols - 1) / a.Cols)
 }
 
-// RunFullyConnected executes the quantized FC functionally in tiled
-// systolic order and returns its stats. The arithmetic is bit-exact with
-// the tflite reference kernel: int32 accumulation of
-// (in-zpIn)·w plus the int32 bias, then fixed-point requantization.
+// RunFullyConnected executes the quantized FC with the one int8 kernel
+// (tflite.FullyConnectedInt8, the same kernel a device invoke runs) and
+// returns the cycles the array would spend on it. Array geometry affects
+// only the cycle count, never the result.
 func (a Array) RunFullyConnected(in, w, bias, out *tensor.Tensor) (FCStats, error) {
-	if in.DType != tensor.Int8 || w.DType != tensor.Int8 || bias.DType != tensor.Int32 || out.DType != tensor.Int8 {
-		return FCStats{}, fmt.Errorf("edgetpu: FC requires int8 tensors with int32 bias, got %v/%v/%v/%v",
-			in.DType, w.DType, bias.DType, out.DType)
+	if err := tflite.FullyConnectedInt8(in, w, bias, out); err != nil {
+		return FCStats{}, fmt.Errorf("edgetpu: %w", err)
 	}
-	if in.Quant == nil || w.Quant == nil || out.Quant == nil {
-		return FCStats{}, fmt.Errorf("edgetpu: FC tensors missing quantization")
-	}
-	if w.Quant.ZeroPoint != 0 {
-		return FCStats{}, fmt.Errorf("edgetpu: MXU requires symmetric weights")
-	}
-	batch, depth := in.Shape[0], in.Shape[1]
-	units := w.Shape[0]
-	if w.Shape[1] != depth {
-		return FCStats{}, fmt.Errorf("edgetpu: FC depth mismatch: input %v, weights %v", in.Shape, w.Shape)
-	}
-
-	qm, err := tflite.QuantizeMultiplier(in.Quant.Scale * w.Quant.Scale / out.Quant.Scale)
-	if err != nil {
-		return FCStats{}, err
-	}
-	zpIn := in.Quant.ZeroPoint
-	zpOut := out.Quant.ZeroPoint
-
-	// On-chip accumulators, initialized with the bias (TFLite folds the
-	// bias into the accumulator before the MAC stream). The backing slice
-	// is pooled across invokes — every entry is overwritten by the bias
-	// copy below, so reuse cannot leak state between invocations.
-	accp := accPool.Get().(*[]int32)
-	defer accPool.Put(accp)
-	if cap(*accp) < batch*units {
-		*accp = make([]int32, batch*units)
-	}
-	acc := (*accp)[:batch*units]
-	for b := 0; b < batch; b++ {
-		copy(acc[b*units:(b+1)*units], bias.I32)
-	}
-
-	// Walk weight tiles exactly as the hardware schedules them: for each
-	// (depth tile, unit tile), stream all activation rows through the
-	// resident tile and accumulate partial sums. Unit tiles touch
-	// disjoint accumulator columns, so the simulation parallelizes over
-	// them without changing the (exact integer) results.
-	unitTiles := (units + a.Cols - 1) / a.Cols
-	tensor.ParallelFor(unitTiles, 1, func(t0, t1 int) {
-		for k0 := 0; k0 < depth; k0 += a.Rows {
-			k1 := min(k0+a.Rows, depth)
-			for tu := t0; tu < t1; tu++ {
-				u0 := tu * a.Cols
-				u1 := min(u0+a.Cols, units)
-				for b := 0; b < batch; b++ {
-					inRow := in.I8[b*depth : (b+1)*depth]
-					accRow := acc[b*units : (b+1)*units]
-					for u := u0; u < u1; u++ {
-						wRow := w.I8[u*depth : (u+1)*depth]
-						var sum int32
-						for k := k0; k < k1; k++ {
-							sum += (int32(inRow[k]) - zpIn) * int32(wRow[k])
-						}
-						accRow[u] += sum
-					}
-				}
-			}
-		}
-	})
-
-	// Requantize through the activation pipeline.
-	tensor.ParallelFor(len(acc), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := zpOut + qm.Apply(acc[i])
-			if r > 127 {
-				r = 127
-			}
-			if r < -128 {
-				r = -128
-			}
-			out.I8[i] = int8(r)
-		}
-	})
-	return a.fcCycles(batch, depth, units), nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return a.fcCycles(in.Shape[0], in.Shape[1], w.Shape[0]), nil
 }

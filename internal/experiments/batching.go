@@ -130,7 +130,7 @@ func AblationBatching(cfg Config) (*BatchingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	t1, err := direct1.Invoke(overloadFill(train, 0))
+	t1, err := direct1.InvokeBatch(0, overloadFill(train, 0))
 	if err != nil {
 		return nil, err
 	}

@@ -142,7 +142,7 @@ func AblationOverload(cfg Config) (*OverloadResult, error) {
 	res.BitIdentical = true
 	for i := 0; i < 32; i++ {
 		fill := overloadFill(ds, i)
-		dt, err := direct.Invoke(fill)
+		dt, err := direct.InvokeBatch(0, fill)
 		if err != nil {
 			return nil, err
 		}

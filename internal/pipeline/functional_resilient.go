@@ -83,7 +83,7 @@ func EncodeOnDeviceResilient(p Platform, enc *hdc.Encoder, ds *dataset.Dataset, 
 			end = s
 		}
 		first := start
-		timing, err := runner.Invoke(func(in *tensor.Tensor) {
+		timing, err := runner.InvokeBatch(0, func(in *tensor.Tensor) {
 			for r := 0; r < batch; r++ {
 				src := first + r
 				if src >= s {
@@ -170,7 +170,7 @@ func InferOnDeviceResilient(p Platform, model *hdc.Model, test, calib *dataset.D
 			end = s
 		}
 		first := start
-		timing, err := runner.Invoke(func(in *tensor.Tensor) {
+		timing, err := runner.InvokeBatch(0, func(in *tensor.Tensor) {
 			for r := 0; r < batch; r++ {
 				src := first + r
 				if src >= s {

@@ -126,7 +126,7 @@ func TestBreakerProbeOutcomeMetrics(t *testing.T) {
 	r.Instrument(reg, `worker="0"`)
 	invoke := func() {
 		t.Helper()
-		if _, err := r.Invoke(nil); err != nil {
+		if _, err := r.InvokeBatch(0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -27,10 +26,11 @@ import (
 // training or inference run never hard-fails on transient accelerator
 // faults — it completes with degraded throughput instead.
 //
-// Two invoke entry points share one loop: Invoke is the batch path, where
-// backoff is accounted in simulated time only; InvokeCtx is the serving
-// path, where backoff is also waited out in wall-clock time and the
-// context can cancel the wait (and the whole invoke) mid-flight.
+// Two invoke entry points, one per clock, share one loop: InvokeBatch is
+// the batch path, where backoff is accounted in simulated time only;
+// InvokeBatchCtx is the serving path, where backoff is also waited out in
+// wall-clock time and the context can cancel the wait (and the whole
+// invoke) mid-flight.
 
 // RecoveryPolicy controls how a ResilientRunner reacts to transient device
 // faults.
@@ -409,7 +409,7 @@ func (m *runnerMetrics) onBreaker(s BreakerState) {
 // loads cm, arms the fault plan, and wraps it with the recovery policy; the
 // host CPU (priced by the platform's cpuarch spec) stands by as the
 // secondary backend. A disabled plan plus a healthy device makes the runner
-// a zero-overhead pass-through: its Invoke timing is bit-identical to
+// a zero-overhead pass-through: its InvokeBatch timing is bit-identical to
 // driving the device directly.
 func NewResilientRunner(p Platform, cm *edgetpu.CompiledModel, plan edgetpu.FaultPlan, policy RecoveryPolicy) (*ResilientRunner, error) {
 	if !p.HasAccel() {
@@ -481,41 +481,28 @@ func (r *ResilientRunner) Output(i int) *tensor.Tensor {
 	return r.primary.Output(i)
 }
 
-// Invoke runs the model once. fill is called with the current input tensor
-// to populate; it may be called more than once when recovery reloads the
-// model or falls back to the host, so it must be idempotent. The returned
-// timing covers the whole invoke including recovery overhead; on the
-// healthy path it is exactly the device's own timing. Backoff waits are
-// accounted in simulated time only — Invoke never sleeps.
-func (r *ResilientRunner) Invoke(fill func(in *tensor.Tensor)) (edgetpu.Timing, error) {
-	return r.invoke(nil, 0, fill)
-}
-
-// InvokeBatch is Invoke limited to the first rows sample rows of the
+// InvokeBatch runs the model once on the first rows sample rows of the
 // compiled batch: the device executes and prices only the occupied rows
 // (edgetpu.Device.InvokeBatch), and a host fallback runs and is priced at
 // the same effective batch. rows <= 0 (or >= the model's batch capacity)
-// is a full invoke. fill receives the full-capacity input tensor; it must
-// populate the first rows rows.
+// is a full invoke. fill receives the full-capacity input tensor and must
+// populate the first rows rows; it may be called more than once when
+// recovery reloads the model or falls back to the host, so it must be
+// idempotent. The returned timing covers the whole invoke including
+// recovery overhead; on the healthy path it is exactly the device's own
+// timing. Backoff waits are accounted in simulated time only — InvokeBatch
+// never sleeps.
 func (r *ResilientRunner) InvokeBatch(rows int, fill func(in *tensor.Tensor)) (edgetpu.Timing, error) {
 	return r.invoke(nil, rows, fill)
 }
 
-// InvokeCtx is Invoke under a context: the deadline or cancellation is
-// honored before every device attempt and during backoff, which is waited
-// out in real wall-clock time (a cancelled request returns ctx.Err()
-// immediately instead of sleeping the backoff out). The simulated-time
-// accounting is identical to Invoke's, so with a healthy device the
-// returned timing is bit-identical to the direct path.
-func (r *ResilientRunner) InvokeCtx(ctx context.Context, fill func(in *tensor.Tensor)) (edgetpu.Timing, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return r.invoke(ctx, 0, fill)
-}
-
-// InvokeBatchCtx is InvokeBatch under a context, with the same cancellation
-// semantics as InvokeCtx. It is the serving micro-batcher's entry point.
+// InvokeBatchCtx is InvokeBatch under a context: the deadline or
+// cancellation is checked before every device attempt and during backoff,
+// which is waited out in real wall-clock time (a cancelled request returns
+// ctx.Err() immediately instead of sleeping the backoff out). The
+// simulated-time accounting is identical to InvokeBatch's, so with a
+// healthy device the returned timing is bit-identical to the direct path.
+// It is the serving path's entry point.
 func (r *ResilientRunner) InvokeBatchCtx(ctx context.Context, rows int, fill func(in *tensor.Tensor)) (edgetpu.Timing, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -560,9 +547,6 @@ func (r *ResilientRunner) invoke(ctx context.Context, rows int, fill func(in *te
 
 	attempts := 0
 	for {
-		if err := ctxErr(ctx); err != nil {
-			return waste, err
-		}
 		if r.pendingReload {
 			// A previous invoke abandoned the device mid-recovery (host
 			// fallback after a reset-class error): re-pay the model load
@@ -574,10 +558,13 @@ func (r *ResilientRunner) invoke(ctx context.Context, rows int, fill func(in *te
 		if fill != nil {
 			fill(r.primary.Input(0))
 		}
+		if err := ctxErr(ctx); err != nil {
+			return waste, err
+		}
 		attempts++
 		r.report.DeviceInvokes++
 		r.live.onDeviceInvoke()
-		t, err := r.deviceInvoke(ctx, rows)
+		t, err := r.primary.InvokeBatch(rows)
 		if err == nil {
 			r.consecutive = 0
 			r.lastWasFallback = false
@@ -593,9 +580,6 @@ func (r *ResilientRunner) invoke(ctx context.Context, rows int, fill func(in *te
 		waste.Add(t)
 		r.report.WastedTime += t.Total()
 		if !backend.IsRetryable(err) {
-			if ctx != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				return waste, err
-			}
 			return waste, fmt.Errorf("pipeline: resilient invoke failed permanently: %w", err)
 		}
 		if backend.NeedsReload(err) {
@@ -686,15 +670,6 @@ func (r *ResilientRunner) reload(waste *edgetpu.Timing) error {
 	waste.Host += setup
 	r.report.ReloadTime += setup
 	return nil
-}
-
-// deviceInvoke dispatches one primary attempt, context-gated when a ctx is
-// present and limited to rows occupied sample rows (0 = full batch).
-func (r *ResilientRunner) deviceInvoke(ctx context.Context, rows int) (edgetpu.Timing, error) {
-	if ctx != nil {
-		return r.primary.InvokeBatchCtx(ctx, rows)
-	}
-	return r.primary.InvokeBatch(rows)
 }
 
 // trip opens the breaker and arms the cooldown.

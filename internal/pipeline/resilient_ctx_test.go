@@ -6,10 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"hdcedge/internal/backend"
+	"hdcedge/internal/backend/binhd"
+	"hdcedge/internal/backend/hostcpu"
+	"hdcedge/internal/backend/tpu"
 	"hdcedge/internal/dataset"
 	"hdcedge/internal/edgetpu"
 	"hdcedge/internal/hdc"
+	"hdcedge/internal/metrics"
 	"hdcedge/internal/rng"
+	"hdcedge/internal/tensor"
 )
 
 // breakerRunner builds a runner over a tiny encoder model with the given
@@ -49,7 +55,7 @@ func TestBreakerTripProbeClose(t *testing.T) {
 	r := breakerRunner(t, edgetpu.FaultPlan{Seed: 1, LinkErrorRate: 1}, probePolicy())
 	invoke := func() {
 		t.Helper()
-		if _, err := r.Invoke(nil); err != nil {
+		if _, err := r.InvokeBatch(0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +108,7 @@ func TestBreakerTripProbeRetrip(t *testing.T) {
 	r := breakerRunner(t, edgetpu.FaultPlan{Seed: 1, LinkErrorRate: 1}, probePolicy())
 	invoke := func() {
 		t.Helper()
-		if _, err := r.Invoke(nil); err != nil {
+		if _, err := r.InvokeBatch(0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +149,7 @@ func TestBreakerCooldownZeroStaysOpen(t *testing.T) {
 	policy.BreakerCooldown = 0
 	r := breakerRunner(t, edgetpu.FaultPlan{Seed: 1, LinkErrorRate: 1}, policy)
 	for i := 0; i < 12; i++ {
-		if _, err := r.Invoke(nil); err != nil {
+		if _, err := r.InvokeBatch(0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +165,7 @@ func TestBreakerRecoversAfterReset(t *testing.T) {
 	r := breakerRunner(t, edgetpu.FaultPlan{Seed: 9, ResetRate: 1}, probePolicy())
 	invoke := func() {
 		t.Helper()
-		if _, err := r.Invoke(nil); err != nil {
+		if _, err := r.InvokeBatch(0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,15 +189,15 @@ func TestBreakerRecoversAfterReset(t *testing.T) {
 }
 
 func TestInvokeCtxHealthyBitIdentical(t *testing.T) {
-	// On a healthy device InvokeCtx must time exactly like Invoke.
+	// On a healthy device InvokeBatchCtx must time exactly like InvokeBatch.
 	a := breakerRunner(t, edgetpu.FaultPlan{}, DefaultRecoveryPolicy())
 	b := breakerRunner(t, edgetpu.FaultPlan{}, DefaultRecoveryPolicy())
 	for i := 0; i < 4; i++ {
-		ta, err := a.Invoke(nil)
+		ta, err := a.InvokeBatch(0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, err := b.InvokeCtx(context.Background(), nil)
+		tb, err := b.InvokeBatchCtx(context.Background(), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +211,7 @@ func TestInvokeCtxCancelledBeforeStart(t *testing.T) {
 	r := breakerRunner(t, edgetpu.FaultPlan{}, DefaultRecoveryPolicy())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.InvokeCtx(ctx, nil); !errors.Is(err, context.Canceled) {
+	if _, err := r.InvokeBatchCtx(ctx, 0, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx returned %v", err)
 	}
 }
@@ -221,7 +227,7 @@ func TestInvokeCtxDeadlineCancelsBackoffPromptly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := r.InvokeCtx(ctx, nil)
+	_, err := r.InvokeBatchCtx(ctx, 0, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline mid-backoff returned %v", err)
@@ -234,7 +240,7 @@ func TestInvokeCtxDeadlineCancelsBackoffPromptly(t *testing.T) {
 	if err := r.Device().InjectFaults(edgetpu.FaultPlan{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.InvokeCtx(context.Background(), nil); err != nil {
+	if _, err := r.InvokeBatchCtx(context.Background(), 0, nil); err != nil {
 		t.Fatalf("invoke after cancelled predecessor: %v", err)
 	}
 }
@@ -250,11 +256,104 @@ func TestInvokeCtxCancelledMidBackoffReturnsCanceled(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := r.InvokeCtx(ctx, nil)
+	_, err := r.InvokeBatchCtx(ctx, 0, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancel mid-backoff returned %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("cancellation took %v; backoff was waited out", elapsed)
+	}
+}
+
+// instrumented is a backend whose invoke attempts can be counted.
+type instrumented interface {
+	backend.Backend
+	Instrument(reg *metrics.Registry, labels string)
+}
+
+// TestInvokeBatchCtxCancelledDispatchesNothing: over a runner wrapping each
+// backend class, a cancelled InvokeBatchCtx returns context.Canceled without
+// filling the input or dispatching to the backend (its invoke counter does
+// not move), and the runner then serves a live request exactly like a fresh
+// backend would.
+func TestInvokeBatchCtxCancelledDispatchesNothing(t *testing.T) {
+	const capacity = 4
+	ds, err := dataset.Generate(dataset.SyntheticSpec(16, 120, 3, 99), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, _, err := hdc.Train(ds, nil, hdc.TrainConfig{Dim: 256, Epochs: 2, LearningRate: 1, Nonlinear: true, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := EdgeTPU()
+	cm, err := CompileInference(p, model, ds, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := []struct {
+		name  string
+		build func() (instrumented, error)
+	}{
+		{"tpu", func() (instrumented, error) { return tpu.New(*p.Accel, cm, edgetpu.FaultPlan{}) }},
+		{"cpu", func() (instrumented, error) { return hostcpu.New(p.Host, cm.Model) }},
+		{"bin", func() (instrumented, error) { return binhd.New(p.Host, model.Binarize(), capacity) }},
+	}
+	n := ds.Features()
+	for _, c := range classes {
+		t.Run(c.name, func(t *testing.T) {
+			b, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.NewRegistry()
+			b.Instrument(reg, "")
+			invokes := func() int64 { return reg.Snapshot().Counters["hdc_backend_invokes_total"] }
+			r, err := WrapBackends(b, nil, DefaultRecoveryPolicy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fills := 0
+			fill := func(in *tensor.Tensor) {
+				fills++
+				copy(in.F32, ds.X.F32[:capacity*n])
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			for _, rows := range []int{0, 1, capacity - 1} {
+				if _, err := r.InvokeBatchCtx(ctx, rows, fill); !errors.Is(err, context.Canceled) {
+					t.Fatalf("rows %d: cancelled InvokeBatchCtx returned %v", rows, err)
+				}
+			}
+			if got := invokes(); got != 0 || fills != 0 {
+				t.Fatalf("cancelled invokes dispatched: %d backend invokes, %d fills", got, fills)
+			}
+
+			got, err := r.InvokeBatchCtx(context.Background(), 0, fill)
+			if err != nil {
+				t.Fatalf("invoke after cancellation: %v", err)
+			}
+			if cnt := invokes(); cnt != 1 {
+				t.Fatalf("live invoke dispatched %d backend invokes, want 1", cnt)
+			}
+			fresh, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(fresh.Input(0))
+			want, err := fresh.InvokeBatch(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("post-cancel timing %+v != fresh backend %+v", got, want)
+			}
+			for i, v := range fresh.Output(0).I32 {
+				if r.Output(0).I32[i] != v {
+					t.Fatalf("post-cancel prediction %d = %d, fresh backend %d", i, r.Output(0).I32[i], v)
+				}
+			}
+		})
 	}
 }

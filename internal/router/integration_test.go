@@ -69,7 +69,7 @@ func TestRouterSingleNodeBitIdentical(t *testing.T) {
 	const k = 16
 	for i := 0; i < k; i++ {
 		fill := rowFill(ds, i)
-		dt, err := direct.Invoke(fill)
+		dt, err := direct.InvokeBatch(0, fill)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestRouterFleetFailoverServesThroughCrash(t *testing.T) {
 	const k = 12
 	for i := 0; i < k; i++ {
 		fill := rowFill(ds, i)
-		if _, err := direct.Invoke(fill); err != nil {
+		if _, err := direct.InvokeBatch(0, fill); err != nil {
 			t.Fatal(err)
 		}
 		want := direct.Output(0).I32[0]

@@ -54,9 +54,10 @@ func BenchmarkInvokeBatch(b *testing.B) {
 
 func TestInvokeBatchSteadyStateAllocs(t *testing.T) {
 	// The serving hot path must not allocate per invoke beyond a small
-	// fixed overhead: the accumulator comes from a pool, activation views
-	// and LUTs are cached after the first invoke. Pinned to one P so
-	// ParallelFor runs inline and the measurement is deterministic.
+	// fixed overhead: the int8 FC kernel accumulates in registers with no
+	// scratch, activation views and LUTs are cached after the first invoke.
+	// Pinned to one P so ParallelFor runs inline and the measurement is
+	// deterministic.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p, cm, ds := serveBatchModel(t, 8)
 	r, err := pipeline.NewResilientRunner(p, cm, edgetpu.FaultPlan{}, pipeline.DefaultRecoveryPolicy())

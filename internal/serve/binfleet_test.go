@@ -79,7 +79,7 @@ func TestServeMixedBinFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directTiming, err := direct.Invoke(rowFill(ds, 0))
+	directTiming, err := direct.InvokeBatch(0, rowFill(ds, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestServeHeterogeneousFleet(t *testing.T) {
 	const k = 40
 	want := make([]int32, k)
 	for i := 0; i < k; i++ {
-		if _, err := direct.Invoke(rowFill(ds, i%ds.Samples())); err != nil {
+		if _, err := direct.InvokeBatch(0, rowFill(ds, i%ds.Samples())); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = direct.Output(0).I32[0]

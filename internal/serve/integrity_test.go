@@ -242,7 +242,7 @@ func TestServeIntegrityDisabledBitIdentical(t *testing.T) {
 
 	for i := 0; i < 16; i++ {
 		fill := rowFill(ds, i)
-		dt, err := direct.Invoke(fill)
+		dt, err := direct.InvokeBatch(0, fill)
 		if err != nil {
 			t.Fatal(err)
 		}

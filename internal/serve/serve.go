@@ -525,6 +525,10 @@ type worker struct {
 	rowViews map[*tensor.Tensor][]*tensor.Tensor
 }
 
+// wholeTensor is rowView's unbatched counterpart: a lone request owns the
+// whole tensor.
+func wholeTensor(t *tensor.Tensor, _ int) *tensor.Tensor { return t }
+
 // rowView returns a cached single-row view of t ([1, ...] at row i).
 func (w *worker) rowView(t *tensor.Tensor, i int) *tensor.Tensor {
 	if w.rowViews == nil {
@@ -1205,7 +1209,7 @@ func (s *Server) maintain(w *worker) {
 
 	b := w.cur
 	invoke := func(ctx context.Context, c integrity.Canary) (int, float64, error) {
-		_, err := b.runner.InvokeCtx(ctx, func(in *tensor.Tensor) {
+		_, err := b.runner.InvokeBatchCtx(ctx, 0, func(in *tensor.Tensor) {
 			copy(in.F32[:len(c.Input)], c.Input)
 		})
 		if err != nil {
@@ -1272,7 +1276,7 @@ func (s *Server) bind(w *worker, model string) (*modelBind, time.Duration, error
 // samples pack into consecutive rows of the input tensor, the runner executes
 // the occupied row prefix, and each member reads back its own output row.
 // With MaxBatch ≤ 1 the batch is always a single request and the invoke takes
-// exactly the pre-batching path (full-tensor fill, InvokeCtx). All batch
+// exactly the pre-batching path (full-tensor fill, full invoke). All batch
 // members share one model (popLocked guarantees it); the worker binds it
 // first, paying the re-setup bill if the device memory missed.
 func (s *Server) invokeBatch(w *worker, batch []*request) {
@@ -1336,30 +1340,25 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 		}()
 	}
 
-	before := b.runner.Report().FallbackInvokes
-	var t backend.Timing
-	var err error
-	if batched {
-		t, err = b.runner.InvokeBatchCtx(ictx, rows, func(in *tensor.Tensor) {
-			for i, r := range batch {
-				r.fill(w.rowView(in, i))
-			}
-		})
-	} else {
-		t, err = b.runner.InvokeCtx(ictx, batch[0].fill)
+	// Unbatched, the lone request sees the whole tensors and the invoke is
+	// a full one (rows 0), so MaxBatch ≤ 1 keeps full-invoke pricing.
+	slot, invRows := w.rowView, rows
+	if !batched {
+		slot, invRows = wholeTensor, 0
 	}
+	before := b.runner.Report().FallbackInvokes
+	t, err := b.runner.InvokeBatchCtx(ictx, invRows, func(in *tensor.Tensor) {
+		for i, r := range batch {
+			r.fill(slot(in, i))
+		}
+	})
 	rep := b.runner.Report()
 	onHost := rep.FallbackInvokes > before
 	if err == nil {
 		out := b.runner.Output(0)
 		for i, r := range batch {
-			if r.consume == nil || r.settled.Load() {
-				continue
-			}
-			if batched {
-				r.consume(w.rowView(out, i))
-			} else {
-				r.consume(out)
+			if r.consume != nil && !r.settled.Load() {
+				r.consume(slot(out, i))
 			}
 		}
 	}

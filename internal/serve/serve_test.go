@@ -74,7 +74,7 @@ func TestServeBitIdenticalToDirectRunner(t *testing.T) {
 	const k = 16
 	for i := 0; i < k; i++ {
 		fill := rowFill(ds, i)
-		dt, err := direct.Invoke(fill)
+		dt, err := direct.InvokeBatch(0, fill)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestServeBindDuringSwapStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < rows; i++ {
-			if _, err := direct.Invoke(rowFill(ds, i)); err != nil {
+			if _, err := direct.InvokeBatch(0, rowFill(ds, i)); err != nil {
 				t.Fatal(err)
 			}
 			expected[i][direct.Output(0).I32[0]] = true

@@ -181,7 +181,7 @@ func (it *Interpreter) execFullyConnected(op Operator, at func(int) *tensor.Tens
 	case tensor.Float32:
 		return fullyConnectedFloat(in, w, bias, out)
 	case tensor.Int8:
-		return fullyConnectedInt8(in, w, bias, out)
+		return FullyConnectedInt8(in, w, bias, out)
 	default:
 		return fmt.Errorf("FULLY_CONNECTED on %v input", in.DType)
 	}
@@ -219,12 +219,15 @@ func fullyConnectedFloat(in, w, bias, out *tensor.Tensor) error {
 	return nil
 }
 
-// fullyConnectedInt8 follows the TFLite reference quantized kernel:
-// acc = Σ (in - zpIn)·w + bias ; out = clamp(zpOut + rescale(acc)).
-// Weights are symmetric (zero point 0), so no weight-side correction term.
-func fullyConnectedInt8(in, w, bias, out *tensor.Tensor) error {
-	if w.DType != tensor.Int8 || bias.DType != tensor.Int32 {
-		return fmt.Errorf("int8 FC with %v weights / %v bias", w.DType, bias.DType)
+// FullyConnectedInt8 is the one int8 FULLY_CONNECTED kernel, shared by the
+// interpreter and the Edge TPU simulator. It follows the TFLite reference
+// quantized kernel: acc = Σ (in - zpIn)·w + bias in int32, then
+// out = clamp(zpOut + rescale(acc)). Weights must be symmetric (zero point
+// 0, the MXU's accumulate path), so there is no weight-side correction term.
+func FullyConnectedInt8(in, w, bias, out *tensor.Tensor) error {
+	if in.DType != tensor.Int8 || w.DType != tensor.Int8 || bias.DType != tensor.Int32 || out.DType != tensor.Int8 {
+		return fmt.Errorf("int8 FC requires int8 tensors with int32 bias, got %v/%v/%v/%v",
+			in.DType, w.DType, bias.DType, out.DType)
 	}
 	if in.Quant == nil || w.Quant == nil || out.Quant == nil {
 		return fmt.Errorf("int8 FC missing quantization parameters")
