@@ -1,21 +1,58 @@
 package edgetpu
 
 import (
+	"fmt"
 	"testing"
 
 	"hdcedge/internal/rng"
+	"hdcedge/internal/tensor"
 	"hdcedge/internal/tflite"
 )
 
 func BenchmarkSystolicFC(b *testing.B) {
-	// The encoder matmul at functional scale: batch 32, 617 → 2000.
+	// The encoder matmul at functional scale (batch 32, 617 → 2000), then
+	// the paper's UCIHAR shapes at d=10,000: the encoder FC for a single
+	// query, a half and a full batch, and the similarity FC (10,000 → 12).
+	for _, sh := range []struct{ batch, depth, units int }{
+		{32, 617, 2000}, {1, 561, 10000}, {16, 561, 10000}, {32, 561, 10000}, {16, 10000, 12},
+	} {
+		b.Run(fmt.Sprintf("%dx%dx%d", sh.batch, sh.depth, sh.units), func(b *testing.B) {
+			in, w, bias, out := randFC(rng.New(1), sh.batch, sh.depth, sh.units)
+			arr := Array{Rows: 64, Cols: 64}
+			b.SetBytes(int64(len(in.I8) + len(w.I8)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := arr.RunFullyConnected(in, w, bias, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFloatFC runs the float FULLY_CONNECTED kernel (the one the
+// quantizer's calibration pass executes) at the UCIHAR encoder shape,
+// 32 × 561 → 10,000, through a one-op interpreter.
+func BenchmarkFloatFC(b *testing.B) {
+	const batch, depth, units = 32, 561, 10000
 	r := rng.New(1)
-	in, w, bias, out := randFC(r, 32, 617, 2000)
-	arr := Array{Rows: 64, Cols: 64}
-	b.SetBytes(int64(len(in.I8) + len(w.I8)))
+	w := tensor.New(tensor.Float32, units, depth)
+	r.FillNormal(w.F32)
+	fb := tflite.NewBuilder("float-fc")
+	in := fb.AddInput("in", tensor.Float32, batch, depth)
+	fb.MarkOutput(fb.FullyConnected(in, fb.AddConstF32("w", w),
+		fb.AddConstF32("b", tensor.New(tensor.Float32, units)), "out"))
+	it, err := tflite.NewInterpreter(fb.Finish())
+	if err != nil {
+		b.Fatal(err)
+	}
+	r.FillNormal(it.Input(0).F32)
+	b.SetBytes(int64(4 * (batch*depth + units*depth)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := arr.RunFullyConnected(in, w, bias, out); err != nil {
+		if err := it.Invoke(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -82,7 +82,7 @@ func (d *Device) LoadModel(cm *CompiledModel) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	setup := d.cfg.transferTime(len(cm.Model.Marshal()))
+	setup := d.cfg.transferTime(cm.Model.MarshaledSize())
 	if cm.Resident {
 		setup += d.cfg.transferTime(cm.ParamBytes)
 	}

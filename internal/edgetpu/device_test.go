@@ -109,6 +109,32 @@ func TestDeviceTimingPhases(t *testing.T) {
 	}
 }
 
+// LoadModel prices the model blob from its byte count alone: the setup
+// time is the link time of len(Marshal()) plus, for a resident model, the
+// parameter upload.
+func TestLoadModelSetupPricesBlobAndParams(t *testing.T) {
+	for _, paramMem := range []int{DefaultUSB().ParamMemBytes, 1 << 10} {
+		cfg := DefaultUSB()
+		cfg.ParamMemBytes = paramMem
+		cm, err := Compile(quantizeNet(t, buildFloatNet(2, 16, 256, 4, 3), 2, 16, 4), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := NewDevice(cfg)
+		setup, err := dev.LoadModel(cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cfg.transferTime(len(cm.Model.Marshal()))
+		if cm.Resident {
+			want += cfg.transferTime(cm.ParamBytes)
+		}
+		if setup != want || dev.SetupTime != want {
+			t.Errorf("resident=%v: setup %v, SetupTime %v, want %v", cm.Resident, setup, dev.SetupTime, want)
+		}
+	}
+}
+
 func TestDeviceStreamingModelPaysWeightTime(t *testing.T) {
 	cfg := DefaultUSB()
 	cfg.ParamMemBytes = 1 << 10

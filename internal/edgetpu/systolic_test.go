@@ -1,6 +1,7 @@
 package edgetpu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -178,47 +179,129 @@ func fcDevice(t testing.TB, in, w, bias, out *tensor.Tensor) *Device {
 	return dev
 }
 
+// checkFC runs the problem through the array and through a delegated FC on
+// a device invoked on the first rows rows, and compares both with the naive
+// oracle; device rows past the prefix must never be written.
+func checkFC(t *testing.T, in, w, bias, out *tensor.Tensor, rows int) error {
+	t.Helper()
+	const sentinel = int8(0x55)
+	want := naiveFC(t, in, w, bias, out)
+	if _, err := (Array{Rows: 16, Cols: 16}).RunFullyConnected(in, w, bias, out); err != nil {
+		return err
+	}
+	for i := range want {
+		if out.I8[i] != want[i] {
+			return fmt.Errorf("array: elem %d = %d, oracle %d", i, out.I8[i], want[i])
+		}
+	}
+	dev := fcDevice(t, in, w, bias, out)
+	copy(dev.Input(0).I8, in.I8)
+	got := dev.Output(0).I8
+	for i := range got {
+		got[i] = sentinel
+	}
+	if _, err := dev.InvokeBatch(rows); err != nil {
+		return err
+	}
+	units := w.Shape[0]
+	for i := range got {
+		if i < rows*units && got[i] != want[i] || i >= rows*units && got[i] != sentinel {
+			return fmt.Errorf("device rows=%d: elem %d = %d, oracle %d", rows, i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// extremeFC fills a problem with operands drawn from {-128, 127} only and
+// sets the input zero point to zp, so every product is ±32,640 or ±32,385.
+func extremeFC(r *rng.RNG, batch, depth, units int, zp int32) (in, w, bias, out *tensor.Tensor) {
+	in, w, bias, out = randFC(r, batch, depth, units)
+	in.Quant.ZeroPoint = zp
+	for _, xs := range [][]int8{in.I8, w.I8} {
+		for i := range xs {
+			xs[i] = int8(127 - 255*r.Intn(2))
+		}
+	}
+	return in, w, bias, out
+}
+
 // Property: the array's FC and a delegated FC invoked through the device on
 // a random row prefix (non-zero input zero point) both agree with the naive
-// oracle; device rows past the prefix are never written.
+// oracle; device rows past the prefix are never written. Fixed cases first
+// cover the edges of the two-lane kernel: every units%4 tail panel against
+// a single row (the int32 pass alone), odd and even batches; all-extreme
+// operands; and lane sums at their bound across a depth-chunk boundary.
 func TestQuickSystolicMatchesReference(t *testing.T) {
-	a := Array{Rows: 16, Cols: 16}
-	const sentinel = int8(0x55)
-	f := func(seed uint64, b8, d8, u8, r8 uint8) bool {
+	r := rng.New(31)
+	for _, units := range []int{4, 5, 6, 7, 131} { // 131: split across workers
+		for _, batch := range []int{1, 3, 4} {
+			in, w, bias, out := randFC(r, batch, 37, units)
+			if err := checkFC(t, in, w, bias, out, batch); err != nil {
+				t.Fatalf("units %d batch %d: %v", units, batch, err)
+			}
+			if err := checkFC(t, in, w, bias, out, (batch+1)/2); err != nil {
+				t.Fatalf("units %d batch %d prefix: %v", units, batch, err)
+			}
+		}
+	}
+	for _, zp := range []int32{-128, 127} {
+		for _, batch := range []int{1, 2, 5} {
+			in, w, bias, out := extremeFC(r, batch, 301, 7, zp)
+			if err := checkFC(t, in, w, bias, out, batch); err != nil {
+				t.Fatalf("extreme operands zp %d batch %d: %v", zp, batch, err)
+			}
+		}
+	}
+	// Lane sums at their bound: every input is the one value x, so each
+	// row's sum is depth·(x-zp)·w. Over laneDepth = 65,536 terms a lane
+	// reaches ±2,139,095,040, just inside int32; the longer depth crosses a
+	// chunk boundary, past which one chunk's lane would overflow, and
+	// wraps the int32 accumulator. The bias
+	// cancels each unit's sum and the output multiplier is 1, so an error
+	// of one in either lane of a pair, or in the odd row, shows in the
+	// int8 output.
+	for _, depth := range []int{1 << 16, 1<<16 + 1<<10} {
+		for _, zp := range []int32{-128, 127} {
+			for _, x := range []int8{-128, 127} {
+				const batch, units = 3, 6
+				in, w, bias, out := extremeFC(r, batch, depth, units, zp)
+				for i := range in.I8 {
+					in.I8[i] = x
+				}
+				for u := 0; u < units; u++ {
+					c := int8(127 - 255*(u%2))
+					sum := int64(0)
+					for i := u * depth; i < (u+1)*depth; i++ {
+						w.I8[i] = c
+						sum += (int64(x) - int64(zp)) * int64(c)
+					}
+					bias.I32[u] = -int32(sum) + int32(u) - 2
+				}
+				out.Quant.Scale = in.Quant.Scale * w.Quant.Scale
+				out.Quant.ZeroPoint = 0
+				if err := checkFC(t, in, w, bias, out, batch); err != nil {
+					t.Fatalf("lane bound depth %d zp %d x %d: %v", depth, zp, x, err)
+				}
+			}
+		}
+	}
+
+	f := func(seed uint64, b8, d8, u8, r8, e8 uint8) bool {
 		batch := int(b8%6) + 1
 		depth := int(d8%70) + 1
 		units := int(u8%70) + 1
 		rows := int(r8)%batch + 1
 		r := rng.New(seed)
 		in, w, bias, out := randFC(r, batch, depth, units)
+		if e8%4 == 0 {
+			in, w, bias, out = extremeFC(r, batch, depth, units, int32(127-255*int(e8/4%2)))
+		}
 		if in.Quant.ZeroPoint == 0 {
 			in.Quant.ZeroPoint = 3
 		}
-		want := naiveFC(t, in, w, bias, out)
-		if _, err := a.RunFullyConnected(in, w, bias, out); err != nil {
-			t.Log(err)
+		if err := checkFC(t, in, w, bias, out, rows); err != nil {
+			t.Logf("batch %d depth %d units %d: %v", batch, depth, units, err)
 			return false
-		}
-		for i := range want {
-			if out.I8[i] != want[i] {
-				return false
-			}
-		}
-
-		dev := fcDevice(t, in, w, bias, out)
-		copy(dev.Input(0).I8, in.I8)
-		got := dev.Output(0).I8
-		for i := range got {
-			got[i] = sentinel
-		}
-		if _, err := dev.InvokeBatch(rows); err != nil {
-			t.Log(err)
-			return false
-		}
-		for i := range got {
-			if i < rows*units && got[i] != want[i] || i >= rows*units && got[i] != sentinel {
-				return false
-			}
 		}
 		return true
 	}

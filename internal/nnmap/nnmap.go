@@ -29,9 +29,8 @@ func BuildEncoderModel(enc *hdc.Encoder, batch int) (*tflite.Model, error) {
 	b := tflite.NewBuilder(fmt.Sprintf("hdc-encoder-n%d-d%d", enc.Features(), enc.Dim()))
 	in := b.AddInput("features", tensor.Float32, batch, enc.Features())
 	// FC weights are [units, depth] = [d, n]: the transpose of B.
-	w := tensor.Transpose(enc.Base)
 	bias := tensor.New(tensor.Float32, enc.Dim())
-	h := b.FullyConnected(in, b.AddConstF32("base_T", w), b.AddConstF32("bias0", bias), "bundled")
+	h := b.FullyConnected(in, b.AddConstF32Transposed("base_T", enc.Base), b.AddConstF32("bias0", bias), "bundled")
 	out := h
 	if enc.Nonlinear {
 		out = b.Tanh(h, "encoded")
@@ -50,9 +49,8 @@ func BuildInferenceModel(m *hdc.Model, batch int) (*tflite.Model, error) {
 	enc := m.Encoder
 	b := tflite.NewBuilder(fmt.Sprintf("hdc-inference-n%d-d%d-k%d", enc.Features(), m.Dim(), m.K()))
 	in := b.AddInput("features", tensor.Float32, batch, enc.Features())
-	w1 := tensor.Transpose(enc.Base)
 	bias1 := tensor.New(tensor.Float32, enc.Dim())
-	h := b.FullyConnected(in, b.AddConstF32("base_T", w1), b.AddConstF32("bias0", bias1), "bundled")
+	h := b.FullyConnected(in, b.AddConstF32Transposed("base_T", enc.Base), b.AddConstF32("bias0", bias1), "bundled")
 	e := h
 	if enc.Nonlinear {
 		e = b.Tanh(h, "encoded")

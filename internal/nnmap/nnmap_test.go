@@ -2,6 +2,7 @@ package nnmap
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"hdcedge/internal/dataset"
@@ -185,5 +186,32 @@ func TestQuantizeForTPURejectsTinyCalib(t *testing.T) {
 	tiny, _ := dataset.Generate(dataset.SyntheticSpec(24, 10, 4, 1), 0)
 	if _, err := QuantizeForTPU(im, tiny, 64, 0); err == nil {
 		t.Fatal("undersized calibration accepted")
+	}
+}
+
+// QuantizeModel on the paper's UCIHAR encoder (561 → 10,000) reads its
+// float weights in one shared copy: calibration and the weight rewrite do
+// not each decode the 22.4 MB of float32 weights. It allocates the int8
+// weights and their buffer (half the float bytes) plus small activations.
+func TestQuantizeEncoderAllocatesUnderFloatWeights(t *testing.T) {
+	const n, d, batch = 561, 10000, 8
+	em, err := BuildEncoderModel(hdc.NewEncoder(n, d, true, rng.New(1)), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calib := make([]float32, batch*n)
+	rng.New(2).FillNormal(calib)
+	floatBytes := uint64(4 * n * d)
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := tflite.QuantizeModel(em, [][][]float32{{calib}}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	ratio := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(floatBytes)
+	t.Logf("QuantizeModel allocated %.2fx the %d float weight bytes", ratio, floatBytes)
+	if ratio >= 1.75 {
+		t.Fatalf("QuantizeModel allocated %.2fx the float weight bytes, want < 1.75x", ratio)
 	}
 }

@@ -134,7 +134,7 @@ func build(id string, version int, cm *edgetpu.CompiledModel, bip *hdc.BipolarMo
 	if cm == nil {
 		return nil, fmt.Errorf("registry: model %q: nil compiled model", id)
 	}
-	blob := len(cm.Model.Marshal())
+	blob := cm.Model.MarshaledSize()
 	foot := cm.MemoryMap().Used
 	return &Entry{
 		ID:        id,

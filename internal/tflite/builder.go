@@ -48,6 +48,25 @@ func (b *Builder) AddConstF32(name string, t *tensor.Tensor) int {
 	return b.addConst(name, tensor.Float32, t.Shape, nil, buf)
 }
 
+// AddConstF32Transposed adds the transpose of the 2-D float tensor t
+// ([rows, cols] → [cols, rows]) as a float32 constant. The transpose is
+// written straight into the new buffer, with no transposed temporary: it
+// is how a [depth, units] matrix becomes FC weights [units, depth].
+func (b *Builder) AddConstF32Transposed(name string, t *tensor.Tensor) int {
+	if t.DType != tensor.Float32 || len(t.Shape) != 2 {
+		panic("tflite: AddConstF32Transposed requires a 2-D float tensor")
+	}
+	rows, cols := t.Shape[0], t.Shape[1]
+	buf := make([]byte, 4*rows*cols)
+	for j := 0; j < cols; j++ {
+		dst := buf[4*j*rows : 4*(j+1)*rows]
+		for i := 0; i < rows; i++ {
+			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(t.F32[i*cols+j]))
+		}
+	}
+	return b.addConst(name, tensor.Float32, tensor.Shape{cols, rows}, nil, buf)
+}
+
 // AddConstI8 adds an int8 constant tensor with quantization parameters.
 func (b *Builder) AddConstI8(name string, t *tensor.Tensor) int {
 	if t.DType != tensor.Int8 {

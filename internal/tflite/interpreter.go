@@ -30,8 +30,15 @@ type Interpreter struct {
 	luts  map[int]*[256]int8
 }
 
-// NewInterpreter validates the model and allocates all activations.
+// NewInterpreter validates the model and allocates all activations. Each
+// interpreter holds its own decoded copy of the constants.
 func NewInterpreter(m *Model) (*Interpreter, error) {
+	return newInterpreter(m, nil)
+}
+
+// newInterpreter is NewInterpreter with the constants in consts (indexed by
+// tensor, nil where absent) taken as they are instead of decoded.
+func newInterpreter(m *Model, consts []*tensor.Tensor) (*Interpreter, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -43,6 +50,10 @@ func NewInterpreter(m *Model) (*Interpreter, error) {
 	}
 	for i, ti := range m.Tensors {
 		if ti.Buffer != NoBuffer {
+			if i < len(consts) && consts[i] != nil {
+				it.tensors[i] = consts[i]
+				continue
+			}
 			ct, err := m.ConstTensor(i)
 			if err != nil {
 				return nil, err
@@ -185,82 +196,6 @@ func (it *Interpreter) execFullyConnected(op Operator, at func(int) *tensor.Tens
 	default:
 		return fmt.Errorf("FULLY_CONNECTED on %v input", in.DType)
 	}
-}
-
-// fullyConnectedFloat computes out[b, u] = Σ_k in[b, k]·w[u, k] + bias[u].
-func fullyConnectedFloat(in, w, bias, out *tensor.Tensor) error {
-	if w.DType != tensor.Float32 || bias.DType != tensor.Float32 {
-		return fmt.Errorf("float FC with %v weights / %v bias", w.DType, bias.DType)
-	}
-	batch, k := in.Shape[0], in.Shape[1]
-	units := w.Shape[0]
-	if w.Shape[1] != k {
-		return fmt.Errorf("FC depth mismatch: input %v, weights %v", in.Shape, w.Shape)
-	}
-	if len(bias.F32) != units {
-		return fmt.Errorf("FC bias length %d, want %d", len(bias.F32), units)
-	}
-	// Parallelize across output units: each worker owns a disjoint slice
-	// of every output row.
-	tensor.ParallelFor(units, 64, func(u0, u1 int) {
-		for b := 0; b < batch; b++ {
-			row := in.F32[b*k : (b+1)*k]
-			outRow := out.F32[b*units : (b+1)*units]
-			for u := u0; u < u1; u++ {
-				wRow := w.F32[u*k : (u+1)*k]
-				sum := bias.F32[u]
-				for i, v := range row {
-					sum += v * wRow[i]
-				}
-				outRow[u] = sum
-			}
-		}
-	})
-	return nil
-}
-
-// FullyConnectedInt8 is the one int8 FULLY_CONNECTED kernel, shared by the
-// interpreter and the Edge TPU simulator. It follows the TFLite reference
-// quantized kernel: acc = Σ (in - zpIn)·w + bias in int32, then
-// out = clamp(zpOut + rescale(acc)). Weights must be symmetric (zero point
-// 0, the MXU's accumulate path), so there is no weight-side correction term.
-func FullyConnectedInt8(in, w, bias, out *tensor.Tensor) error {
-	if in.DType != tensor.Int8 || w.DType != tensor.Int8 || bias.DType != tensor.Int32 || out.DType != tensor.Int8 {
-		return fmt.Errorf("int8 FC requires int8 tensors with int32 bias, got %v/%v/%v/%v",
-			in.DType, w.DType, bias.DType, out.DType)
-	}
-	if in.Quant == nil || w.Quant == nil || out.Quant == nil {
-		return fmt.Errorf("int8 FC missing quantization parameters")
-	}
-	if w.Quant.ZeroPoint != 0 {
-		return fmt.Errorf("int8 FC weights must be symmetric, zero point %d", w.Quant.ZeroPoint)
-	}
-	batch, k := in.Shape[0], in.Shape[1]
-	units := w.Shape[0]
-	if w.Shape[1] != k {
-		return fmt.Errorf("FC depth mismatch: input %v, weights %v", in.Shape, w.Shape)
-	}
-	qm, err := QuantizeMultiplier(in.Quant.Scale * w.Quant.Scale / out.Quant.Scale)
-	if err != nil {
-		return err
-	}
-	zpIn := in.Quant.ZeroPoint
-	zpOut := out.Quant.ZeroPoint
-	tensor.ParallelFor(units, 64, func(u0, u1 int) {
-		for b := 0; b < batch; b++ {
-			row := in.I8[b*k : (b+1)*k]
-			outRow := out.I8[b*units : (b+1)*units]
-			for u := u0; u < u1; u++ {
-				wRow := w.I8[u*k : (u+1)*k]
-				acc := bias.I32[u]
-				for i, v := range row {
-					acc += (int32(v) - zpIn) * int32(wRow[i])
-				}
-				outRow[u] = clampInt8(zpOut + qm.Apply(acc))
-			}
-		}
-	})
-	return nil
 }
 
 // lutFor returns the activation lookup table for operator oi. The global

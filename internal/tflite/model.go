@@ -1,7 +1,9 @@
 package tflite
 
 import (
+	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"hdcedge/internal/tensor"
 )
@@ -157,6 +159,30 @@ func (m *Model) ConstTensor(ti int) (*tensor.Tensor, error) {
 	}
 	return t, nil
 }
+
+// readOnlyConst returns constant tensor ti for code that only reads it.
+// Float32 data is a view of the buffer's bytes when the host is little
+// endian and the buffer 4-byte aligned, since the container's layout is
+// then the in-memory one; otherwise, and for other dtypes, it is decoded
+// as ConstTensor does. Nothing may write through the result: it would
+// write into the model.
+func (m *Model) readOnlyConst(ti int) (*tensor.Tensor, error) {
+	info := m.Tensors[ti]
+	if info.Buffer == NoBuffer || info.DType != tensor.Float32 {
+		return m.ConstTensor(ti)
+	}
+	raw := m.Buffers[info.Buffer]
+	if !littleEndian || len(raw) == 0 || uintptr(unsafe.Pointer(&raw[0]))%4 != 0 {
+		return m.ConstTensor(ti)
+	}
+	return &tensor.Tensor{
+		DType: info.DType, Shape: info.Shape.Clone(), Quant: cloneQuant(info.Quant),
+		F32: unsafe.Slice((*float32)(unsafe.Pointer(&raw[0])), len(raw)/4),
+	}, nil
+}
+
+// littleEndian reports whether the host stores a uint16 low byte first.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 func cloneQuant(q *tensor.QuantParams) *tensor.QuantParams {
 	if q == nil {

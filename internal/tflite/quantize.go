@@ -30,15 +30,29 @@ func QuantizeModel(m *Model, calib [][][]float32) (*Model, error) {
 	if len(calib) == 0 {
 		return nil, fmt.Errorf("tflite: quantization requires a representative dataset")
 	}
-	observers, err := calibrate(m, calib)
+	// Calibration and the rewrite read one shared, read-only copy of each
+	// constant (a view of the buffer where the host allows it), so the
+	// float weights are never decoded twice.
+	consts := make([]*tensor.Tensor, len(m.Tensors))
+	for ti, info := range m.Tensors {
+		if info.Buffer == NoBuffer {
+			continue
+		}
+		c, err := m.readOnlyConst(ti)
+		if err != nil {
+			return nil, err
+		}
+		consts[ti] = c
+	}
+	observers, err := calibrate(m, consts, calib)
 	if err != nil {
 		return nil, err
 	}
-	return rewriteQuantized(m, observers)
+	return rewriteQuantized(m, consts, observers)
 }
 
-func calibrate(m *Model, calib [][][]float32) ([]tensor.RangeObserver, error) {
-	it, err := NewInterpreter(m)
+func calibrate(m *Model, consts []*tensor.Tensor, calib [][][]float32) ([]tensor.RangeObserver, error) {
+	it, err := newInterpreter(m, consts)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +86,7 @@ func calibrate(m *Model, calib [][][]float32) ([]tensor.RangeObserver, error) {
 	return observers, nil
 }
 
-func rewriteQuantized(m *Model, observers []tensor.RangeObserver) (*Model, error) {
+func rewriteQuantized(m *Model, consts []*tensor.Tensor, observers []tensor.RangeObserver) (*Model, error) {
 	b := NewBuilder(m.Name + "_int8")
 	// qIdx maps an original tensor index to its int8 (or passthrough)
 	// tensor in the new graph.
@@ -95,7 +109,7 @@ func rewriteQuantized(m *Model, observers []tensor.RangeObserver) (*Model, error
 	for oi, op := range m.Operators {
 		switch op.Op {
 		case OpFullyConnected:
-			if err := quantizeFC(b, m, op, qIdx, actParams); err != nil {
+			if err := quantizeFC(b, m, consts, op, qIdx, actParams); err != nil {
 				return nil, fmt.Errorf("tflite: op %d: %w", oi, err)
 			}
 		case OpTanh:
@@ -150,18 +164,17 @@ func rewriteQuantized(m *Model, observers []tensor.RangeObserver) (*Model, error
 	return b.Finish(), nil
 }
 
-func quantizeFC(b *Builder, m *Model, op Operator, qIdx []int, actParams func(int) tensor.QuantParams) error {
+func quantizeFC(b *Builder, m *Model, consts []*tensor.Tensor, op Operator, qIdx []int, actParams func(int) tensor.QuantParams) error {
 	in := qIdx[op.Inputs[0]]
 	if in < 0 {
 		return fmt.Errorf("FC input not materialized")
 	}
-	wT, err := m.ConstTensor(op.Inputs[1])
-	if err != nil {
-		return fmt.Errorf("FC weights must be constant: %w", err)
+	wT, biasT := consts[op.Inputs[1]], consts[op.Inputs[2]]
+	if wT == nil {
+		return fmt.Errorf("FC weights must be constant: tensor %d (%s) is not", op.Inputs[1], m.Tensors[op.Inputs[1]].Name)
 	}
-	biasT, err := m.ConstTensor(op.Inputs[2])
-	if err != nil {
-		return fmt.Errorf("FC bias must be constant: %w", err)
+	if biasT == nil {
+		return fmt.Errorf("FC bias must be constant: tensor %d (%s) is not", op.Inputs[2], m.Tensors[op.Inputs[2]].Name)
 	}
 	if wT.DType != tensor.Float32 || biasT.DType != tensor.Float32 {
 		return fmt.Errorf("FC expects float weights/bias, got %v/%v", wT.DType, biasT.DType)

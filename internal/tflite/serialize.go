@@ -126,6 +126,25 @@ func (m *Model) Marshal() []byte {
 	return buf.Bytes()
 }
 
+// MarshaledSize returns len(m.Marshal()) without building the blob: the
+// container body is written to a byte counter, and the footer is fixed-size.
+func (m *Model) MarshaledSize() int {
+	var n byteCounter
+	if err := m.writeBody(bufio.NewWriter(&n)); err != nil {
+		// byteCounter writes cannot fail.
+		panic(err)
+	}
+	return int(n) + crcFooterLen
+}
+
+// byteCounter is an io.Writer that only counts what it is given.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
 // Save writes the model to a file.
 func (m *Model) Save(path string) error {
 	f, err := os.Create(path)

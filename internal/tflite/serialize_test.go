@@ -118,3 +118,11 @@ func TestMarshalDeterministic(t *testing.T) {
 		t.Fatal("Marshal is not deterministic")
 	}
 }
+
+func TestMarshaledSizeMatchesMarshal(t *testing.T) {
+	for _, m := range []*Model{buildTinyFloatModel(2), {Name: "empty"}} {
+		if got, want := m.MarshaledSize(), len(m.Marshal()); got != want {
+			t.Errorf("%s: MarshaledSize %d, len(Marshal()) %d", m.Name, got, want)
+		}
+	}
+}
