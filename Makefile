@@ -77,11 +77,15 @@ binhd-smoke:
 # weighted-fair scheduler's share and priority math, tenant quota sheds and
 # snapshot monotonicity under concurrent load, registry dispatch with swap
 # billing, hot swap, and the determinism of LRU eviction (two identical
-# runs must produce identical event logs). Fast enough for every `make test`.
+# runs must produce identical event logs), and a single-model server whose
+# model is wider than device memory, which the registry must not bill a
+# re-setup on top of the device's own weight streaming. Fast enough for every
+# `make test`.
 tenant-smoke:
 	$(GO) test -race -count=1 \
 		-run 'TestSchedulerWeightedFairShares|TestSchedulerStrictPriority|TestServeTenantQuotaShed|TestServeTenantSnapshotMonotone|TestServeMultiModelDispatchAndSwapBilling|TestServeHotSwapInvalidatesBind|TestServeEvictionDeterministic|TestServeRegistrySingleModelBitIdentical' \
 		./internal/serve/
+	$(GO) test -race -count=1 -run 'TestRegisterNonResidentModelBillsBlobOnly' ./internal/registry/
 
 # The online-learning loop under the race detector: the feedback trainer's
 # full package (snapshot publication, drift-triggered regeneration, the

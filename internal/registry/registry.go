@@ -43,7 +43,9 @@ type Entry struct {
 
 	// Footprint is the model's on-chip parameter-memory occupancy in
 	// bytes — the compiler memory map's aligned allocation, not the raw
-	// parameter bytes — which is what DeviceMemory budgets against.
+	// parameter bytes — which is what DeviceMemory budgets against. Zero
+	// for a graph the compiler marked non-resident, whose weights stream
+	// on every invoke instead.
 	Footprint int
 
 	// BlobBytes is the serialized model size: what the host must push over
@@ -135,7 +137,13 @@ func build(id string, version int, cm *edgetpu.CompiledModel, bip *hdc.BipolarMo
 		return nil, fmt.Errorf("registry: model %q: nil compiled model", id)
 	}
 	blob := cm.Model.MarshaledSize()
-	foot := cm.MemoryMap().Used
+	// A graph the compiler marked non-resident keeps nothing on chip: the
+	// device streams its weights on every invoke and bills them there, so
+	// it occupies no budget and its re-setup is the blob alone.
+	foot := 0
+	if cm.Resident {
+		foot = cm.MemoryMap().Used
+	}
 	return &Entry{
 		ID:        id,
 		Version:   version,
