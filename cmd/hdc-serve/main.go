@@ -80,6 +80,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -148,7 +149,7 @@ type options struct {
 	driftThreshold float64
 
 	// Parsed by validate.
-	fleet   serve.FleetSpec
+	fleet   serve.FleetSpec // -fleet, or -devices TPU workers
 	plan    edgetpu.FaultPlan
 	chaos   map[int]router.ChaosPlan
 	hedge   router.HedgeConfig
@@ -256,6 +257,8 @@ func (o *options) validate() error {
 			return &flagError{"fleet", err.Error()}
 		}
 		o.fleet = fleet
+	} else {
+		o.fleet = serve.TPUFleet(o.devices)
 	}
 	if o.faults != "" {
 		plan, err := edgetpu.ParseFaultPlan(o.faults, o.faultSeed)
@@ -366,7 +369,8 @@ func (o *options) validate() error {
 
 // config assembles the serving Config from validated options.
 func (o *options) config() serve.Config {
-	cfg := serve.Config{
+	return serve.Config{
+		Fleet:           o.fleet,
 		QueueCapacity:   o.queue,
 		DefaultDeadline: o.deadline,
 		DrainDeadline:   o.drain,
@@ -383,12 +387,6 @@ func (o *options) config() serve.Config {
 		Tenants:         o.tenants,
 		Metrics:         o.metrics,
 	}
-	if len(o.fleet) > 0 {
-		cfg.Fleet = o.fleet
-	} else {
-		cfg.Devices = o.devices
-	}
-	return cfg
 }
 
 // annotate round-robins request i across the configured tenants and models,
@@ -403,14 +401,6 @@ func (o *options) annotate(i int) serve.Request {
 		req.Model = o.models[i%len(o.models)].Name
 	}
 	return req
-}
-
-// workers returns the fleet size the options describe.
-func (o *options) workers() int {
-	if len(o.fleet) > 0 {
-		return len(o.fleet)
-	}
-	return o.devices
 }
 
 func parseFlags(args []string) (*options, error) {
@@ -467,10 +457,7 @@ func main() {
 	if err != nil {
 		fail(err.Error())
 	}
-	hasBin := false
-	for _, kind := range o.fleet {
-		hasBin = hasBin || kind == binhd.Name
-	}
+	hasBin := slices.Contains(o.fleet, binhd.Name)
 	p := pipeline.EdgeTPU()
 	var cm *edgetpu.CompiledModel
 	if len(o.models) > 0 {
@@ -577,14 +564,10 @@ func main() {
 		go func() { _ = http.Serve(ln, s.Handler()) }()
 	}
 
-	workers := o.workers()
-	fleetStr := o.fleet.String()
-	if len(o.fleet) == 0 {
-		fleetStr = fmt.Sprintf("tpu=%d", workers)
-	}
+	workers := len(o.fleet)
 	interarrival := time.Duration(float64(o.pace) / (float64(workers) * o.load))
 	fmt.Printf("serving %d requests at %.1fx capacity (%d workers [%s], pace %v, interarrival %v)\n",
-		o.requests, o.load, workers, fleetStr, o.pace, interarrival)
+		o.requests, o.load, workers, o.fleet, o.pace, interarrival)
 	n := ds.Features()
 	fbRng := rng.New(o.seed + 1013)
 	start := time.Now()
@@ -756,7 +739,7 @@ func runRouted(o *options, p pipeline.Platform, cm *edgetpu.CompiledModel, ds *d
 		fail(err.Error())
 	}
 
-	workers := o.nodes * o.workers()
+	workers := o.nodes * len(o.fleet)
 	interarrival := time.Duration(float64(o.pace) / (float64(workers) * o.load))
 	hedgeStr := "off"
 	if o.hedge.Enabled {
@@ -766,7 +749,7 @@ func runRouted(o *options, p pipeline.Platform, cm *edgetpu.CompiledModel, ds *d
 		}
 	}
 	fmt.Printf("serving %d requests at %.1fx capacity (%d nodes x %d workers, pace %v, interarrival %v, chaos %q, hedge %s)\n",
-		o.requests, o.load, o.nodes, o.workers(), o.pace, interarrival, o.chaosSpec, hedgeStr)
+		o.requests, o.load, o.nodes, len(o.fleet), o.pace, interarrival, o.chaosSpec, hedgeStr)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < o.requests; i++ {

@@ -29,8 +29,13 @@ func validOptions() *options {
 }
 
 func TestValidateAcceptsDefaults(t *testing.T) {
-	if err := validOptions().validate(); err != nil {
+	o := validOptions()
+	if err := o.validate(); err != nil {
 		t.Fatalf("baseline options rejected: %v", err)
+	}
+	// Without -fleet, -devices N is shorthand for N TPU workers.
+	if got := o.config().Fleet.String(); got != "tpu=4" {
+		t.Fatalf("-devices 4 config fleet %q, want tpu=4", got)
 	}
 }
 
@@ -121,12 +126,9 @@ func TestValidateParsesStructuredFlags(t *testing.T) {
 	if got := len(o.fleet); got != 4 {
 		t.Fatalf("fleet has %d workers, want 4", got)
 	}
-	if o.workers() != 4 {
-		t.Fatalf("workers() = %d, want 4", o.workers())
-	}
 	cfg := o.config()
-	if len(cfg.Fleet) != 4 || cfg.Devices != 0 {
-		t.Fatalf("config fleet %v devices %d, want 4-worker fleet", cfg.Fleet, cfg.Devices)
+	if cfg.Fleet.String() != "tpu=2,cpu=2" {
+		t.Fatalf("config fleet %v, want tpu=2,cpu=2", cfg.Fleet)
 	}
 }
 

@@ -155,7 +155,7 @@ func AblationBatching(cfg Config) (*BatchingResult, error) {
 					n = int(float64(perCell) * load)
 				}
 				scfg := serve.Config{
-					Devices:         devices,
+					Fleet:           serve.TPUFleet(devices),
 					QueueCapacity:   queue,
 					DefaultDeadline: deadline,
 					DrainDeadline:   10 * time.Second,
@@ -188,7 +188,7 @@ func batchingBitIdentical(p pipeline.Platform, cm *edgetpu.CompiledModel,
 		return false, err
 	}
 	s, err := serve.New(p, cm, serve.Config{
-		Devices: 1, Policy: policy, MaxBatch: cm.BatchCapacity(),
+		Policy: policy, MaxBatch: cm.BatchCapacity(),
 	})
 	if err != nil {
 		return false, err
@@ -222,9 +222,9 @@ func batchingCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Da
 	}
 	// Same open-loop arrival discipline as the overload sweep: absolute
 	// deadlines keep the offered rate honest against timer slack, and the
-	// first Devices arrivals are staggered out of phase. The rate is always
+	// first len(Fleet) arrivals are staggered out of phase. The rate is always
 	// relative to batch-1 capacity, so every MaxBatch sees the same arrivals.
-	workers := max(scfg.Devices, 1)
+	workers := len(scfg.Fleet)
 	interarrival := time.Duration(float64(basePace) / (float64(workers) * load))
 	staggerGap := basePace / time.Duration(workers)
 	start := time.Now()

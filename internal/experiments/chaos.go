@@ -121,7 +121,6 @@ func chaosCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Datas
 		policy := pipeline.DefaultRecoveryPolicy()
 		policy.Seed = cfg.Seed + 1 + uint64(i)*17 // decorrelate node jitter streams
 		s, err := serve.New(p, cm, serve.Config{
-			Devices:         1,
 			QueueCapacity:   4,
 			DefaultDeadline: 250 * time.Millisecond,
 			DrainDeadline:   2 * time.Second,

@@ -160,7 +160,7 @@ func driftCell(cfg Config, name string, model *hdc.Model, train, test, shifted *
 	policy.Seed = cfg.Seed + 1
 	met := metrics.NewRegistry()
 	s, err := serve.New(p, nil, serve.Config{
-		Devices:       driftDevices,
+		Fleet:         serve.TPUFleet(driftDevices),
 		Policy:        policy,
 		Registry:      g,
 		Metrics:       met,

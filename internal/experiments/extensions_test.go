@@ -122,10 +122,23 @@ func TestAblationLinkPCIeWins(t *testing.T) {
 }
 
 func TestRunOneJSONCoversEveryExperiment(t *testing.T) {
+	seen := map[string]bool{}
 	for _, name := range AllExperiments {
-		// Only verify the dispatch table is complete; running every
-		// functional experiment here would be slow, so probe the cheap
-		// runtime ones and check the error path for unknowns.
+		if seen[name] {
+			t.Fatalf("experiment %q listed twice", name)
+		}
+		seen[name] = true
+		// Every listed name must resolve to a runner and a renderer, the
+		// entries RunOne, RunOneJSON and RunAll all dispatch through.
+		e, err := lookup(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if e.run == nil || e.render == nil {
+			t.Fatalf("%s: incomplete table entry", name)
+		}
+		// Running every functional experiment here would be slow, so run
+		// only the cheap runtime ones.
 		switch name {
 		case "table1", "fig5", "fig6", "table2", "fig10",
 			"ablation-fused", "ablation-batch", "ablation-link",

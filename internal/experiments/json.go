@@ -2,68 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
-
-// RunOneJSON executes the named experiment and returns its structured
-// rows (the same values the renderers print), for machine consumption.
-func RunOneJSON(name string, cfg Config) (any, error) {
-	switch name {
-	case "table1":
-		return TableI()
-	case "fig4":
-		return Fig4(cfg)
-	case "fig5":
-		return Fig5(cfg, nil)
-	case "fig6":
-		return Fig6(cfg)
-	case "fig7":
-		return Fig7(cfg)
-	case "table2":
-		return TableII(cfg)
-	case "fig8":
-		return Fig8(cfg)
-	case "fig9":
-		return Fig9(cfg)
-	case "fig10":
-		return Fig10(cfg)
-	case "table-energy":
-		return TableEnergy(cfg)
-	case "table-variance":
-		return TableVariance(cfg)
-	case "ablation-encoding":
-		return AblationEncoding(cfg)
-	case "ablation-fused":
-		return AblationFusedVsSerial(cfg)
-	case "ablation-subwidth":
-		return AblationSubWidth(cfg)
-	case "ablation-batch":
-		return AblationBatch(cfg)
-	case "ablation-robustness":
-		return AblationRobustness(cfg)
-	case "ablation-online":
-		return AblationOnline(cfg)
-	case "ablation-binary":
-		return AblationBinary(cfg)
-	case "ablation-encoder-compare":
-		return AblationEncoderCompare(cfg)
-	case "ablation-link":
-		return AblationLink(cfg)
-	case "ablation-dim":
-		return AblationDim(cfg)
-	case "ablation-overlap":
-		return AblationOverlap(cfg)
-	case "ablation-scaleout":
-		return AblationScaleOut(cfg)
-	case "ablation-faults":
-		return AblationFaults(cfg)
-	case "ablation-overload":
-		return AblationOverload(cfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, AllExperiments)
-	}
-}
 
 // WriteJSON runs the experiment and writes an indented JSON document
 // {"experiment": name, "rows": ...} to w.

@@ -148,7 +148,7 @@ func isolationCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.D
 	policy := pipeline.DefaultRecoveryPolicy()
 	policy.Seed = cfg.Seed + 1
 	s, err := serve.New(p, cm, serve.Config{
-		Devices:       mtWorkers,
+		Fleet:         serve.TPUFleet(mtWorkers),
 		Policy:        policy,
 		PacePerInvoke: mtService,
 		DrainDeadline: 10 * time.Second,
@@ -269,7 +269,6 @@ func memoryCell(p pipeline.Platform, reg *registry.Registry, ds *dataset.Dataset
 	rpolicy := pipeline.DefaultRecoveryPolicy()
 	rpolicy.Seed = cfg.Seed + 1
 	s, err := serve.New(p, nil, serve.Config{
-		Devices:       1,
 		Policy:        rpolicy,
 		Registry:      reg,
 		MemBudget:     3*e0.Footprint + e0.Footprint/5,

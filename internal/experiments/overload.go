@@ -135,7 +135,7 @@ func AblationOverload(cfg Config) (*OverloadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ident, err := serve.New(p, cm, serve.Config{Devices: 1, Policy: policy})
+	ident, err := serve.New(p, cm, serve.Config{Policy: policy})
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func AblationOverload(cfg Config) (*OverloadResult, error) {
 	// Unloaded baseline: sequential requests through the paced server, so
 	// the only latency is the service time itself.
 	base, err := serve.New(p, cm, serve.Config{
-		Devices: devices, Policy: policy, PacePerInvoke: service,
+		Fleet: serve.TPUFleet(devices), Policy: policy, PacePerInvoke: service,
 	})
 	if err != nil {
 		return nil, err
@@ -192,7 +192,7 @@ func AblationOverload(cfg Config) (*OverloadResult, error) {
 				n = int(float64(perCell) * load)
 			}
 			pt, err := overloadCell(p, cm, ds, policy, serve.Config{
-				Devices:         devices,
+				Fleet:           serve.TPUFleet(devices),
 				QueueCapacity:   queue,
 				DefaultDeadline: 250 * time.Millisecond,
 				DrainDeadline:   5 * time.Second,
@@ -216,17 +216,17 @@ func overloadCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Da
 	if err != nil {
 		return OverloadPoint{}, err
 	}
-	// Capacity is Devices invokes per service interval; offered load scales
+	// Capacity is one invoke per worker per service interval; offered load scales
 	// the open-loop arrival rate against that. Arrivals pace against
 	// absolute deadlines (start + i·interarrival) rather than sleeping the
 	// gap each iteration: OS timer slack then turns into small catch-up
 	// bursts instead of silently capping the offered rate, so the measured
 	// load multiple stays honest even when sleeps overshoot. The first
-	// Devices arrivals are spaced one service-fraction apart so the paced
+	// len(Fleet) arrivals are spaced one service-fraction apart so the paced
 	// workers start out of phase: under overload each worker's cycle is
 	// exactly the service time, so an initial bunching would persist for
 	// the whole cell and stretch queue waits toward a full service interval.
-	workers := max(scfg.Devices, 1)
+	workers := len(scfg.Fleet)
 	interarrival := time.Duration(float64(scfg.PacePerInvoke) / (float64(workers) * load))
 	staggerGap := scfg.PacePerInvoke / time.Duration(workers)
 	start := time.Now()

@@ -5,218 +5,106 @@ import (
 	"io"
 )
 
-// Runner names used by RunOne and the hdc-bench command.
-var AllExperiments = []string{
-	"table1", "fig4", "fig5", "fig6", "fig7", "table2", "fig8", "fig9", "fig10",
-	"table-energy",
-	"ablation-encoding", "ablation-fused", "ablation-subwidth", "ablation-batch",
-	"ablation-robustness", "ablation-online", "ablation-binary",
-	"ablation-encoder-compare", "ablation-link", "ablation-dim", "ablation-overlap",
-	"ablation-scaleout", "ablation-faults", "ablation-overload", "ablation-batching",
-	"ablation-fleet", "ablation-chaos", "ablation-seu",
-	"ablation-binhd", "ablation-multitenant", "ablation-drift",
-	"table-variance",
+// experiment is one named entry of the runner table: run computes the
+// structured rows, render prints them.
+type experiment struct {
+	name   string
+	run    func(Config) (any, error)
+	render func(io.Writer, any)
+}
+
+// entry types one experiment's run/render pair into a table row.
+func entry[T any](name string, run func(Config) (T, error), render func(io.Writer, T)) experiment {
+	return experiment{
+		name: name,
+		run: func(cfg Config) (any, error) {
+			v, err := run(cfg)
+			return v, err
+		},
+		render: func(w io.Writer, v any) { render(w, v.(T)) },
+	}
+}
+
+// experimentTable lists every experiment in RunAll order. AllExperiments,
+// RunOne, RunOneJSON and RunAll all read it, so a name is runnable in every
+// form or in none.
+var experimentTable = []experiment{
+	entry("table1", func(Config) ([]TableIRow, error) { return TableI() }, RenderTableI),
+	entry("fig4", Fig4, RenderFig4),
+	entry("fig5", func(cfg Config) ([]Fig5Row, error) { return Fig5(cfg, nil) }, RenderFig5),
+	entry("fig6", Fig6, RenderFig6),
+	entry("fig7", Fig7, RenderFig7),
+	entry("table2", TableII, RenderTableII),
+	entry("fig8", Fig8, RenderFig8),
+	entry("fig9", Fig9, RenderFig9),
+	entry("fig10", Fig10, RenderFig10),
+	entry("table-energy", TableEnergy, RenderTableEnergy),
+	entry("ablation-encoding", AblationEncoding, RenderAblationEncoding),
+	entry("ablation-fused", AblationFusedVsSerial, RenderAblationFusedVsSerial),
+	entry("ablation-subwidth", AblationSubWidth, RenderAblationSubWidth),
+	entry("ablation-batch", AblationBatch, RenderAblationBatch),
+	entry("ablation-robustness", AblationRobustness, RenderAblationRobustness),
+	entry("ablation-online", AblationOnline, RenderAblationOnline),
+	entry("ablation-binary", AblationBinary, RenderAblationBinary),
+	entry("ablation-encoder-compare", AblationEncoderCompare, RenderAblationEncoderCompare),
+	entry("ablation-link", AblationLink, RenderAblationLink),
+	entry("ablation-dim", AblationDim, RenderAblationDim),
+	entry("ablation-overlap", AblationOverlap, RenderAblationOverlap),
+	entry("ablation-scaleout", AblationScaleOut, RenderAblationScaleOut),
+	entry("ablation-faults", AblationFaults, RenderAblationFaults),
+	entry("ablation-overload", AblationOverload, RenderAblationOverload),
+	entry("ablation-batching", AblationBatching, RenderAblationBatching),
+	entry("ablation-fleet", AblationFleet, RenderAblationFleet),
+	entry("ablation-chaos", AblationChaos, RenderAblationChaos),
+	entry("ablation-seu", AblationSEU, RenderAblationSEU),
+	entry("ablation-binhd", AblationBinHD, RenderAblationBinHD),
+	entry("ablation-multitenant", AblationMultiTenant, RenderAblationMultiTenant),
+	entry("ablation-drift", AblationDrift, RenderAblationDrift),
+	entry("table-variance", TableVariance, RenderTableVariance),
+}
+
+// AllExperiments names every experiment RunOne, RunOneJSON and the
+// hdc-bench command accept, in RunAll order.
+var AllExperiments = func() []string {
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		names[i] = e.name
+	}
+	return names
+}()
+
+// lookup resolves an experiment name.
+func lookup(name string) (experiment, error) {
+	for _, e := range experimentTable {
+		if e.name == name {
+			return e, nil
+		}
+	}
+	return experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, AllExperiments)
 }
 
 // RunOne executes the named experiment and renders it to w.
 func RunOne(name string, cfg Config, w io.Writer) error {
-	switch name {
-	case "table1":
-		rows, err := TableI()
-		if err != nil {
-			return err
-		}
-		RenderTableI(w, rows)
-	case "fig4":
-		series, err := Fig4(cfg)
-		if err != nil {
-			return err
-		}
-		RenderFig4(w, series)
-	case "fig5":
-		rows, err := Fig5(cfg, nil)
-		if err != nil {
-			return err
-		}
-		RenderFig5(w, rows)
-	case "fig6":
-		rows, err := Fig6(cfg)
-		if err != nil {
-			return err
-		}
-		RenderFig6(w, rows)
-	case "fig7":
-		rows, err := Fig7(cfg)
-		if err != nil {
-			return err
-		}
-		RenderFig7(w, rows)
-	case "table2":
-		rows, err := TableII(cfg)
-		if err != nil {
-			return err
-		}
-		RenderTableII(w, rows)
-	case "fig8":
-		points, err := Fig8(cfg)
-		if err != nil {
-			return err
-		}
-		RenderFig8(w, points)
-	case "fig9":
-		points, err := Fig9(cfg)
-		if err != nil {
-			return err
-		}
-		RenderFig9(w, points)
-	case "fig10":
-		points, err := Fig10(cfg)
-		if err != nil {
-			return err
-		}
-		RenderFig10(w, points)
-	case "table-variance":
-		rows, err := TableVariance(cfg)
-		if err != nil {
-			return err
-		}
-		RenderTableVariance(w, rows)
-	case "table-energy":
-		rows, err := TableEnergy(cfg)
-		if err != nil {
-			return err
-		}
-		RenderTableEnergy(w, rows)
-	case "ablation-robustness":
-		res, err := AblationRobustness(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationRobustness(w, res)
-	case "ablation-encoding":
-		rows, err := AblationEncoding(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationEncoding(w, rows)
-	case "ablation-fused":
-		rows, err := AblationFusedVsSerial(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationFusedVsSerial(w, rows)
-	case "ablation-subwidth":
-		rows, err := AblationSubWidth(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationSubWidth(w, rows)
-	case "ablation-batch":
-		points, err := AblationBatch(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationBatch(w, points)
-	case "ablation-encoder-compare":
-		rows, err := AblationEncoderCompare(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationEncoderCompare(w, rows)
-	case "ablation-overlap":
-		rows, err := AblationOverlap(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationOverlap(w, rows)
-	case "ablation-scaleout":
-		points, err := AblationScaleOut(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationScaleOut(w, points)
-	case "ablation-dim":
-		points, err := AblationDim(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationDim(w, points)
-	case "ablation-link":
-		rows, err := AblationLink(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationLink(w, rows)
-	case "ablation-faults":
-		res, err := AblationFaults(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationFaults(w, res)
-	case "ablation-overload":
-		res, err := AblationOverload(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationOverload(w, res)
-	case "ablation-batching":
-		res, err := AblationBatching(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationBatching(w, res)
-	case "ablation-fleet":
-		res, err := AblationFleet(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationFleet(w, res)
-	case "ablation-chaos":
-		res, err := AblationChaos(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationChaos(w, res)
-	case "ablation-seu":
-		res, err := AblationSEU(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationSEU(w, res)
-	case "ablation-online":
-		rows, err := AblationOnline(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationOnline(w, rows)
-	case "ablation-binary":
-		rows, err := AblationBinary(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationBinary(w, rows)
-	case "ablation-binhd":
-		res, err := AblationBinHD(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationBinHD(w, res)
-	case "ablation-multitenant":
-		res, err := AblationMultiTenant(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationMultiTenant(w, res)
-	case "ablation-drift":
-		res, err := AblationDrift(cfg)
-		if err != nil {
-			return err
-		}
-		RenderAblationDrift(w, res)
-	default:
-		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, AllExperiments)
+	e, err := lookup(name)
+	if err != nil {
+		return err
 	}
+	v, err := e.run(cfg)
+	if err != nil {
+		return err
+	}
+	e.render(w, v)
 	return nil
+}
+
+// RunOneJSON executes the named experiment and returns its structured
+// rows (the same values the renderers print), for machine consumption.
+func RunOneJSON(name string, cfg Config) (any, error) {
+	e, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.run(cfg)
 }
 
 // RunAll executes every experiment in order. It runs Fig 4 first and

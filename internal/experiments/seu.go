@@ -165,7 +165,6 @@ func seuCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Dataset
 	policy := pipeline.DefaultRecoveryPolicy()
 	policy.Seed = cfg.Seed + 31
 	s, err := serve.New(p, cm, serve.Config{
-		Devices:   1,
 		Policy:    policy,
 		Plan:      edgetpu.FaultPlan{Seed: cfg.Seed + 911, BitFlipRate: rate},
 		Integrity: pol,

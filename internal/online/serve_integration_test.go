@@ -20,7 +20,7 @@ func TestServeOnlineSnapshotPickupDuringServing(t *testing.T) {
 	p, g, model, ds := harness(t, 256)
 	met := metrics.NewRegistry()
 	s, err := serve.New(p, nil, serve.Config{
-		Devices: 2, Policy: pipeline.DefaultRecoveryPolicy(),
+		Fleet: serve.TPUFleet(2), Policy: pipeline.DefaultRecoveryPolicy(),
 		Registry: g, Metrics: met,
 	})
 	if err != nil {
@@ -107,14 +107,14 @@ func TestServeNilTrainerBitIdentical(t *testing.T) {
 	// registries; one server runs bare, the other with the nil trainer
 	// wired through its Consume callbacks.
 	p1, g1, _, ds := harness(t, 256)
-	plain, err := serve.New(p1, nil, serve.Config{Devices: 1, Policy: policy, Registry: g1})
+	plain, err := serve.New(p1, nil, serve.Config{Policy: policy, Registry: g1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
 
 	p2, g2, _, _ := harness(t, 256)
-	wired, err := serve.New(p2, nil, serve.Config{Devices: 1, Policy: policy, Registry: g2})
+	wired, err := serve.New(p2, nil, serve.Config{Policy: policy, Registry: g2})
 	if err != nil {
 		t.Fatal(err)
 	}

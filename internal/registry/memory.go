@@ -183,9 +183,9 @@ func (d *DeviceMemory) Instrument(reg *metrics.Registry, labels string) {
 }
 
 // Preload inserts e as resident without billing or events — the
-// construction-time LoadModel a server performs before serving starts,
-// mirroring the single-model path where the model is uploaded in New.
-// Preloaded models still participate in LRU normally afterwards.
+// construction-time model upload a server performs before serving starts,
+// as the device's own LoadModel does. Preloaded models still participate
+// in LRU normally afterwards.
 func (d *DeviceMemory) Preload(e *Entry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -56,7 +56,7 @@ func TestRouterSingleNodeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := serve.New(p, cm, serve.Config{Devices: 1, Policy: policy})
+	s, err := serve.New(p, cm, serve.Config{Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRouterFleetFailoverServesThroughCrash(t *testing.T) {
 	p, cm, ds := routerModel(t)
 	policy := pipeline.DefaultRecoveryPolicy()
 	mkNode := func() *serve.Server {
-		s, err := serve.New(p, cm, serve.Config{Devices: 1, Policy: policy})
+		s, err := serve.New(p, cm, serve.Config{Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,6 @@ func TestRouterDrainRacesChaosHang(t *testing.T) {
 	// drain bound — a hung worker cannot wedge shutdown.
 	p, cm, _ := routerModel(t)
 	s, err := serve.New(p, cm, serve.Config{
-		Devices:       1,
 		Policy:        pipeline.DefaultRecoveryPolicy(),
 		DrainDeadline: 200 * time.Millisecond,
 	})

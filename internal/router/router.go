@@ -249,7 +249,7 @@ func (r *Router) pick(tried []bool) *nodeSlot {
 }
 
 // Do submits one request through the routing tier and blocks until it
-// settles — the legacy tenant-less entry point.
+// settles, under the default tenant and model.
 func (r *Router) Do(ctx context.Context, fill func(in *tensor.Tensor), consume func(out *tensor.Tensor)) (serve.Result, error) {
 	return r.Submit(ctx, serve.Request{Fill: fill, Consume: consume})
 }

@@ -57,7 +57,7 @@ func TestServeBatchSingleRowBitIdenticalToDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(p, cm, Config{Devices: 1, Policy: policy, MaxBatch: 8})
+	s, err := New(p, cm, Config{Policy: policy, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestServeBatchDeterministicVsSequential(t *testing.T) {
 	}
 
 	s, err := New(p, cm, Config{
-		Devices: 1, Policy: policy,
+		Policy:   policy,
 		MaxBatch: 8, BatchWindow: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -161,7 +161,7 @@ func TestServeBatchWindowRespectsDeadline(t *testing.T) {
 	// window into a deadline miss.
 	p, cm, ds := serveBatchModel(t, 8)
 	s, err := New(p, cm, Config{
-		Devices: 1, Policy: fastPolicy(),
+		Policy:   fastPolicy(),
 		MaxBatch: 8, BatchWindow: 10 * time.Second,
 		DefaultDeadline: 250 * time.Millisecond,
 	})
@@ -189,7 +189,7 @@ func TestServeBatchConcurrentMixedDeadlines(t *testing.T) {
 	// balance no matter how requests ride batches.
 	p, cm, ds := serveBatchModel(t, 8)
 	s, err := New(p, cm, Config{
-		Devices: 2, Policy: fastPolicy(),
+		Fleet: TPUFleet(2), Policy: fastPolicy(),
 		QueueCapacity: 16,
 		MaxBatch:      8, BatchWindow: time.Millisecond,
 	})

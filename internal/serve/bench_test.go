@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,10 +55,10 @@ func BenchmarkInvokeBatch(b *testing.B) {
 
 func TestInvokeBatchSteadyStateAllocs(t *testing.T) {
 	// The serving hot path must not allocate per invoke beyond a small
-	// fixed overhead: the int8 FC kernel accumulates in registers with no
-	// scratch, activation views and LUTs are cached after the first invoke.
-	// Pinned to one P so ParallelFor runs inline and the measurement is
-	// deterministic.
+	// fixed overhead: the int8 FC kernel takes its zero-point-adjusted
+	// input scratch from a sync.Pool, and activation views and LUTs are
+	// cached after the first invoke. Pinned to one P so ParallelFor runs
+	// inline and the measurement is deterministic.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p, cm, ds := serveBatchModel(t, 8)
 	r, err := pipeline.NewResilientRunner(p, cm, edgetpu.FaultPlan{}, pipeline.DefaultRecoveryPolicy())
@@ -82,6 +83,37 @@ func TestInvokeBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// benchHost records the host shape a BENCH_serve.json section was
+// measured on, so deltas across commits can be checked for a like-for-like
+// host: wall times and (through ParallelFor's fan-out) allocation counts
+// depend on it.
+type benchHost struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+	GoVersion  string `json:"go_version"`
+}
+
+// hostInfo describes the measuring host. The CPU model comes from
+// /proc/cpuinfo where the OS has one, else "unknown".
+func hostInfo() benchHost {
+	model := "unknown"
+	if buf, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(buf), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				model = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return benchHost{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   model,
+		GoVersion:  runtime.Version(),
+	}
+}
+
 // serveBenchRow is one line of BENCH_serve.json.
 type serveBenchRow struct {
 	Rows            int     `json:"rows"`
@@ -92,7 +124,8 @@ type serveBenchRow struct {
 }
 
 // serveFleetBench is the heterogeneous-fleet throughput row of
-// BENCH_serve.json: a mixed pool under fixed open-loop load.
+// BENCH_serve.json: a mixed pool under fixed open-loop load. It completes
+// too few requests for a meaningful tail quantile, so it reports none.
 type serveFleetBench struct {
 	Fleet        string  `json:"fleet"`
 	Offered      int     `json:"offered"`
@@ -100,7 +133,6 @@ type serveFleetBench struct {
 	TPURequests  int     `json:"tpu_requests"`
 	CPURequests  int     `json:"cpu_requests"`
 	CompletedRPS float64 `json:"completed_rps"`
-	P99Us        int64   `json:"e2e_p99_us"`
 }
 
 // measureFleetBench drives a short open-loop burst through a mixed fleet.
@@ -151,7 +183,6 @@ func measureFleetBench(t *testing.T, p pipeline.Platform, cm *edgetpu.CompiledMo
 		Offered:      rep.Submitted,
 		Completed:    rep.Completed,
 		CompletedRPS: float64(rep.Completed) / elapsed.Seconds(),
-		P99Us:        rep.Latency.Quantile(0.99).Microseconds(),
 	}
 	for _, b := range rep.Backends {
 		switch b.Name {
@@ -164,14 +195,15 @@ func measureFleetBench(t *testing.T, p pipeline.Platform, cm *edgetpu.CompiledMo
 	return row
 }
 
-// serveTenantBenchRow is one tenant's share of the weighted-fair bench.
+// serveTenantBenchRow is one tenant's share of the weighted-fair bench. A
+// tenant completes too few requests for a meaningful tail quantile, so the
+// row reports none.
 type serveTenantBenchRow struct {
 	Tenant       string  `json:"tenant"`
 	Weight       int     `json:"weight"`
 	Completed    int     `json:"completed"`
 	Shed         int     `json:"shed"`
 	CompletedRPS float64 `json:"completed_rps"`
-	P99Us        int64   `json:"e2e_p99_us"`
 }
 
 // serveTenantBench is the multi-tenant throughput section of
@@ -196,7 +228,7 @@ func measureTenantBench(t *testing.T, p pipeline.Platform, cm *edgetpu.CompiledM
 		{Name: "bronze", Weight: 1, Quota: 8},
 	}
 	s, err := New(p, cm, Config{
-		Devices:       2,
+		Fleet:         TPUFleet(2),
 		DrainDeadline: 5 * time.Second,
 		PacePerInvoke: service,
 		Tenants:       tenants,
@@ -238,7 +270,6 @@ func measureTenantBench(t *testing.T, p pipeline.Platform, cm *edgetpu.CompiledM
 			Completed:    ts.Completed,
 			Shed:         ts.Shed,
 			CompletedRPS: float64(ts.Completed) / elapsed.Seconds(),
-			P99Us:        ts.Latency.Quantile(0.99).Microseconds(),
 		})
 	}
 	return bench
@@ -258,6 +289,7 @@ type binhdBenchRow struct {
 // model and batch, with the headline wall-clock speedup.
 type binhdBench struct {
 	Note        string          `json:"note"`
+	Host        benchHost       `json:"host"`
 	Features    int             `json:"features"`
 	Dim         int             `json:"dim"`
 	Classes     int             `json:"classes"`
@@ -340,6 +372,7 @@ func measureBinHDBench(t *testing.T) binhdBench {
 
 	return binhdBench{
 		Note:        "int8 graph vs bit-packed binary HDC, full-batch invoke; regenerate with `make bench-binhd`",
+		Host:        hostInfo(),
 		Features:    n,
 		Dim:         d,
 		Classes:     k,
@@ -415,6 +448,7 @@ func TestWriteServeBench(t *testing.T) {
 	}
 	doc := struct {
 		Note     string           `json:"note"`
+		Host     benchHost        `json:"host"`
 		Model    string           `json:"model"`
 		Capacity int              `json:"batch_capacity"`
 		Rows     []serveBenchRow  `json:"rows"`
@@ -423,6 +457,7 @@ func TestWriteServeBench(t *testing.T) {
 		BinHD    binhdBench       `json:"binhd"`
 	}{
 		Note:     "micro-batched invoke cost; regenerate with `make bench-serve`",
+		Host:     hostInfo(),
 		Model:    cm.Model.Name,
 		Capacity: cm.BatchCapacity(),
 		Rows:     rowsOut,

@@ -19,10 +19,10 @@ import (
 // Every endpoint reads from snapshots that are safe while workers are
 // mid-invoke; hitting them never blocks the serving path.
 
-// snapshotJSON is the /snapshot response body. Tenants and Models are
-// omitted in legacy (single-tenant, single-model) mode, keeping the legacy
-// body byte-identical; the per-tenant hdc_tenant_* counters flow through
-// Counters/Histograms with their {tenant="..."} labels.
+// snapshotJSON is the /snapshot response body. Tenants is omitted without
+// Config.Tenants; Models lists the registry IDs in registration order. The
+// per-tenant hdc_tenant_* counters flow through Counters/Histograms with
+// their {tenant="..."} labels.
 type snapshotJSON struct {
 	Health     string                              `json:"health"`
 	Fleet      string                              `json:"fleet"`
@@ -45,16 +45,14 @@ func (s *Server) Handler() http.Handler {
 		snap := s.Metrics().Snapshot()
 		body := snapshotJSON{
 			Health:     s.Health().String(),
-			Fleet:      s.cfg.fleet().String(),
+			Fleet:      s.cfg.Fleet.String(),
+			Models:     s.cfg.Registry.IDs(),
 			Counters:   snap.Counters,
 			Gauges:     snap.Gauges,
 			Histograms: make(map[string]metrics.HistogramSummary, len(snap.Histograms)),
 		}
 		for _, t := range s.cfg.Tenants {
 			body.Tenants = append(body.Tenants, t.Name)
-		}
-		if s.cfg.Registry != nil {
-			body.Models = s.cfg.Registry.IDs()
 		}
 		for name, h := range snap.Histograms {
 			body.Histograms[name] = h.Summary()

@@ -20,9 +20,8 @@ import (
 func TestServeIntegrityScrubRepairsSEU(t *testing.T) {
 	p, cm, ds := serveModel(t)
 	s, err := New(p, cm, Config{
-		Devices: 1,
-		Policy:  fastPolicy(),
-		Plan:    edgetpu.FaultPlan{Seed: 5, BitFlipRate: 1e-3},
+		Policy: fastPolicy(),
+		Plan:   edgetpu.FaultPlan{Seed: 5, BitFlipRate: 1e-3},
 		Integrity: &integrity.Policy{
 			ScrubInterval: 200 * time.Microsecond,
 		},
@@ -88,11 +87,11 @@ func TestServeIntegrityScrubRepairsSEU(t *testing.T) {
 	}
 	// The metric mirrors of the report must agree.
 	snap := s.Metrics().Snapshot()
-	if snap.Counters[`hdc_integrity_scrubs_total{worker="0",backend="tpu"}`] != int64(g.Scrubs) {
-		t.Fatalf("scrub counter disagrees with report: %v vs %d",
-			snap.Counters[`hdc_integrity_scrubs_total{worker="0",backend="tpu"}`], g.Scrubs)
+	scrubs := workerSeries("hdc_integrity_scrubs_total", "", 0, "tpu", cm)
+	if snap.Counters[scrubs] != int64(g.Scrubs) {
+		t.Fatalf("scrub counter disagrees with report: %v vs %d", snap.Counters[scrubs], g.Scrubs)
 	}
-	if snap.Counters[`hdc_integrity_repairs_total{action="segment-reupload",worker="0",backend="tpu"}`] != int64(g.Restores) {
+	if snap.Counters[workerSeries("hdc_integrity_repairs_total", `action="segment-reupload"`, 0, "tpu", cm)] != int64(g.Restores) {
 		t.Fatal("repair counter disagrees with report")
 	}
 }
@@ -109,8 +108,7 @@ func TestServeIntegrityCanaryQuarantinesUnrepairable(t *testing.T) {
 		Label: -7, // no argmax ever returns this
 	}
 	s, err := New(p, cm, Config{
-		Devices: 1,
-		Policy:  fastPolicy(),
+		Policy: fastPolicy(),
 		Integrity: &integrity.Policy{
 			CanaryInterval: time.Millisecond,
 			Canaries:       []integrity.Canary{canary},
@@ -163,7 +161,7 @@ func TestServeIntegrityCanaryQuarantinesUnrepairable(t *testing.T) {
 		t.Fatalf("report off: %+v", rep.Integrity)
 	}
 	snap := s.Metrics().Snapshot()
-	if snap.Gauges[`hdc_integrity_quarantined{worker="0",backend="tpu"}`] != 1 {
+	if snap.Gauges[workerSeries("hdc_integrity_quarantined", "", 0, "tpu", cm)] != 1 {
 		t.Fatal("quarantined gauge not set")
 	}
 	if err := s.Drain(context.Background()); err != nil {
@@ -182,7 +180,6 @@ func TestServeDrainDuringCanaryBackoffSettles(t *testing.T) {
 	policy.BaseBackoff = time.Minute // wedge: only cancellation gets out
 	policy.MaxBackoff = time.Minute
 	s, err := New(p, cm, Config{
-		Devices:       1,
 		Policy:        policy,
 		Plan:          edgetpu.FaultPlan{Seed: 3, LinkErrorRate: 1},
 		DrainDeadline: 50 * time.Millisecond,
@@ -231,7 +228,6 @@ func TestServeIntegrityDisabledBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(p, cm, Config{
-		Devices:   1,
 		Policy:    policy,
 		Integrity: &integrity.Policy{}, // present but disabled
 	})

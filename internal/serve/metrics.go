@@ -68,7 +68,7 @@ func newServeMetrics(reg *metrics.Registry) *serveMetrics {
 	}
 }
 
-// counters materializes the legacy report struct from the live handles.
+// counters materializes the report's counter block from the live handles.
 // At quiescence the values are exact; mid-serve they may trail in-flight
 // updates by a few atomic writes, like any registry snapshot.
 func (m *serveMetrics) counters() counters {

@@ -82,7 +82,7 @@ func TestBatchAllMembersCancelledReleasesWorker(t *testing.T) {
 	const pace = 600 * time.Millisecond
 	p, cm, ds := serveBatchModel(t, 4)
 	s, err := New(p, cm, Config{
-		Devices: 1, Policy: fastPolicy(),
+		Policy:   fastPolicy(),
 		MaxBatch: 4, PacePerInvoke: pace,
 	})
 	if err != nil {
@@ -154,7 +154,7 @@ func TestBatchAllMembersCancelledReleasesWorker(t *testing.T) {
 func TestLiveSnapshotMidServe(t *testing.T) {
 	p, cm, ds := serveModel(t)
 	s, err := New(p, cm, Config{
-		Devices: 1, Policy: fastPolicy(),
+		Policy:        fastPolicy(),
 		QueueCapacity: 2, PacePerInvoke: 300 * time.Millisecond,
 	})
 	if err != nil {
@@ -193,11 +193,11 @@ func TestLiveSnapshotMidServe(t *testing.T) {
 	if got := snap.Counters[`hdc_serve_shed_total{cause="queue_full"}`]; got != 2 {
 		t.Errorf("live shed count %d, want 2", got)
 	}
-	backendHist := snap.Histograms[`hdc_backend_invoke_sim_seconds{worker="0",backend="tpu"}`]
+	backendHist := snap.Histograms[workerSeries("hdc_backend_invoke_sim_seconds", "", 0, "tpu", cm)]
 	if backendHist == nil || backendHist.Count() < 1 {
 		t.Errorf("per-backend invoke histogram missing or empty mid-serve: %v", snap.Names())
 	}
-	if got, ok := snap.Gauges[`hdc_runner_breaker_state{worker="0",backend="tpu"}`]; !ok {
+	if got, ok := snap.Gauges[workerSeries("hdc_runner_breaker_state", "", 0, "tpu", cm)]; !ok {
 		t.Errorf("breaker state gauge missing: %v", snap.Names())
 	} else if got != 0 {
 		t.Errorf("healthy breaker state gauge = %d, want 0 (closed)", got)
@@ -297,7 +297,7 @@ func TestSnapshotMonotoneUnderSaturatedFleet(t *testing.T) {
 	// Both backend classes must have streamed per-worker telemetry.
 	snap := s.Metrics().Snapshot()
 	for i, class := range []string{"tpu", "cpu"} {
-		name := fmt.Sprintf("hdc_backend_invokes_total{worker=%q,backend=%q}", fmt.Sprint(i), class)
+		name := workerSeries("hdc_backend_invokes_total", "", i, class, cm)
 		if snap.Counters[name] == 0 {
 			t.Errorf("no live invokes recorded for %s: %v", name, snap.Names())
 		}
@@ -309,7 +309,7 @@ func TestSnapshotMonotoneUnderSaturatedFleet(t *testing.T) {
 // backend and batch annotations; the ring is bounded.
 func TestTraceRing(t *testing.T) {
 	p, cm, ds := serveModel(t)
-	s, err := New(p, cm, Config{Devices: 1, Policy: fastPolicy(), TraceDepth: 4})
+	s, err := New(p, cm, Config{Policy: fastPolicy(), TraceDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestTraceRing(t *testing.T) {
 	}
 
 	// Disabled tracing stores nothing.
-	s2, err := New(p, cm, Config{Devices: 1, Policy: fastPolicy(), TraceDepth: -1})
+	s2, err := New(p, cm, Config{Policy: fastPolicy(), TraceDepth: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestTraceRing(t *testing.T) {
 // exposition, JSON snapshot, and trace dump.
 func TestHTTPEndpoints(t *testing.T) {
 	p, cm, ds := serveModel(t)
-	s, err := New(p, cm, Config{Devices: 1, Policy: fastPolicy()})
+	s, err := New(p, cm, Config{Policy: fastPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,8 +392,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE hdc_serve_submitted_total counter",
 		"hdc_serve_submitted_total 3",
-		`hdc_backend_invoke_sim_seconds_count{worker="0",backend="tpu"} 3`,
-		`hdc_runner_breaker_state{worker="0",backend="tpu"} 0`,
+		workerSeries("hdc_backend_invoke_sim_seconds_count", "", 0, "tpu", cm) + " 3",
+		workerSeries("hdc_runner_breaker_state", "", 0, "tpu", cm) + " 0",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, prom)

@@ -52,8 +52,7 @@ type TenantStats struct {
 	Latency        *metrics.Histogram // e2e latency of this tenant's completions
 }
 
-// ModelStats is one registered model's serving share; present only in
-// registry mode.
+// ModelStats is one registered model's serving share.
 type ModelStats struct {
 	ID        string
 	Version   int
@@ -87,12 +86,12 @@ type ServeReport struct {
 	Tenants []TenantStats
 
 	// Models breaks the serving work down per registered model, in
-	// registration order; empty without Config.Registry.
+	// registration order.
 	Models []ModelStats
 
 	// Memory is each accelerated worker's simulated parameter-memory
 	// accounting (hits, misses, evictions, swap billed), in worker order;
-	// empty without Config.Registry.
+	// empty for a fleet without TPU workers.
 	Memory []registry.MemStats
 }
 

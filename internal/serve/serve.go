@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,6 +103,16 @@ func ParseFleet(spec string) (FleetSpec, error) {
 	return fleet, nil
 }
 
+// TPUFleet returns an all-accelerator fleet of n workers, the pool the
+// hdc-serve -devices flag describes.
+func TPUFleet(n int) FleetSpec {
+	fleet := make(FleetSpec, n)
+	for i := range fleet {
+		fleet[i] = tpu.Name
+	}
+	return fleet
+}
+
 // String renders the fleet back into "tpu=2,cpu=2" form, classes in first-
 // appearance order.
 func (f FleetSpec) String() string {
@@ -122,16 +133,11 @@ func (f FleetSpec) String() string {
 
 // Config sizes the serving runtime.
 type Config struct {
-	// Devices is the number of simulated accelerator devices (and worker
-	// goroutines). Zero defaults to one. Ignored when Fleet is set.
-	Devices int
-
-	// Fleet, when non-empty, makes the worker pool heterogeneous: one
-	// worker per entry, backed by that backend class. TPU workers keep the
-	// host CPU as their degraded mode exactly as before; CPU workers run
-	// the interpreter as their primary engine and have no degraded mode
-	// (they cannot fault). Empty means Devices all-TPU workers — the
-	// legacy, bit-identical configuration.
+	// Fleet is the worker pool: one worker per entry, backed by that
+	// backend class. TPU workers keep the host CPU as their degraded mode;
+	// CPU and bin workers run on host silicon as their primary engine and
+	// have no degraded mode (they cannot fault). Empty means one TPU
+	// worker.
 	Fleet FleetSpec
 
 	// QueueCapacity bounds the admission queue; a request arriving at a
@@ -152,11 +158,9 @@ type Config struct {
 	// seed, so a one-device server is bit-identical to a direct runner.
 	Policy pipeline.RecoveryPolicy
 
-	// Plan is the fault plan armed on every device (Seed+i per device).
-	// Plans, when it has exactly Devices entries, overrides Plan with a
-	// distinct plan per device (for asymmetric-failure tests).
-	Plan  edgetpu.FaultPlan
-	Plans []edgetpu.FaultPlan
+	// Plan is the fault plan armed on every TPU worker (Seed+i for worker
+	// i); host-silicon workers cannot fault and ignore it.
+	Plan edgetpu.FaultPlan
 
 	// PacePerInvoke makes each worker occupy wall-clock time per invoke
 	// (sleep after the simulated invoke), emulating real device occupancy
@@ -198,10 +202,11 @@ type Config struct {
 	TraceDepth int
 
 	// Bipolar is the sign-quantized model binary-HDC ("bin") workers
-	// serve. Required when Fleet contains binhd.Name; ignored otherwise.
-	// It must share the float encoder of the compiled model so a
-	// bin-served answer comes from the same trained classifier, just in
-	// its bit-packed deployment form.
+	// serve. Required when Fleet contains binhd.Name; ignored otherwise,
+	// and ignored with a Registry, whose entries carry their own. It must
+	// share the float encoder of the compiled model so a bin-served answer
+	// comes from the same trained classifier, just in its bit-packed
+	// deployment form.
 	Bipolar *hdc.BipolarModel
 
 	// Integrity, when non-nil and enabled, arms the silent-data-corruption
@@ -210,47 +215,40 @@ type Config struct {
 	// checks through the real invoke path, self-healing through the repair
 	// ladder (segment re-upload → model reload → device reset →
 	// quarantine). Nil or disabled leaves the serving path bit-identical
-	// to a server without integrity support. In registry mode the policy's
-	// canaries answer against the default model only; other models run
-	// scrub-only unless their registry entry carries its own policy.
+	// to a server without integrity support. The policy's canaries answer
+	// against the default model only; other models run scrub-only unless
+	// their registry entry carries its own policy.
 	Integrity *integrity.Policy
 
-	// Registry, when non-nil, makes the server multi-model: requests may
-	// name any registered model, workers bind models lazily by consulting
-	// the registry, and each accelerated worker's on-chip parameter memory
-	// is simulated — a miss pays the entry's deterministic re-setup cost,
-	// billed into the invoke's WeightStream phase, and evicts under
-	// MemPolicy. Nil serves the single compiled model passed to New — the
-	// legacy, bit-identical configuration.
+	// Registry is the model catalog: requests may name any registered
+	// model (the first registered one is the default), workers bind models
+	// lazily by consulting the registry, and each accelerated worker's
+	// on-chip parameter memory is simulated — a miss pays the entry's
+	// deterministic re-setup cost, billed into the invoke's WeightStream
+	// phase, and evicts under MemPolicy. Nil registers the compiled model
+	// passed to New (with Bipolar) under its graph name in a private
+	// one-entry registry.
 	Registry *registry.Registry
-
-	// DefaultModel is the model served by requests that name none. Empty
-	// means the first registered model. Ignored without Registry.
-	DefaultModel string
 
 	// MemBudget overrides the per-device on-chip parameter-memory budget
 	// in bytes. Zero uses the device's own ParamMemBytes (8 MiB on the
-	// default USB Edge TPU). Ignored without Registry.
+	// default USB Edge TPU).
 	MemBudget int
 
 	// MemPolicy selects the eviction policy under memory pressure
 	// (EvictLRU by default; PinFirst is the static baseline the ablation
-	// compares against). Ignored without Registry.
+	// compares against).
 	MemPolicy registry.EvictPolicy
 
 	// Tenants, when non-empty, makes admission multi-tenant: requests
 	// carry a tenant name, each tenant gets its own bounded FIFO, and
 	// dispatch follows strict priority classes with stride-based
-	// weighted-fair queuing inside a class. Empty keeps the single global
-	// FIFO — the legacy, bit-identical configuration.
+	// weighted-fair queuing inside a class. Empty keeps one global FIFO.
 	Tenants []TenantSpec
 }
 
 // Validate checks the configuration for sanity.
 func (c Config) Validate() error {
-	if c.Devices < 0 {
-		return fmt.Errorf("serve: negative Devices %d", c.Devices)
-	}
 	if c.DefaultDeadline < 0 {
 		return fmt.Errorf("serve: negative DefaultDeadline %v", c.DefaultDeadline)
 	}
@@ -277,12 +275,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("serve: fleet worker %d is %q but Config.Bipolar is nil", i, binhd.Name)
 		}
 	}
-	if len(c.Fleet) > 0 && c.Devices > 0 && c.Devices != len(c.Fleet) {
-		return fmt.Errorf("serve: Devices %d disagrees with %d-worker Fleet %q", c.Devices, len(c.Fleet), c.Fleet)
-	}
-	if len(c.Plans) != 0 && len(c.Plans) != c.workers() {
-		return fmt.Errorf("serve: %d per-device plans for %d workers", len(c.Plans), c.workers())
-	}
 	if c.MemBudget < 0 {
 		return fmt.Errorf("serve: negative MemBudget %d", c.MemBudget)
 	}
@@ -303,27 +295,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// workers returns the worker-pool size the config asks for.
-func (c Config) workers() int {
-	if len(c.Fleet) > 0 {
-		return len(c.Fleet)
-	}
-	return max(c.Devices, 1)
-}
-
-// fleet returns the effective fleet composition: Fleet verbatim, or the
-// legacy all-TPU pool.
-func (c Config) fleet() FleetSpec {
-	if len(c.Fleet) > 0 {
-		return c.Fleet
-	}
-	fleet := make(FleetSpec, c.workers())
-	for i := range fleet {
-		fleet[i] = tpu.Name
-	}
-	return fleet
 }
 
 // ShedCause says why admission refused a request.
@@ -400,21 +371,21 @@ type Result struct {
 	QueueWait time.Duration  // wall-clock time spent queued
 	Latency   time.Duration  // wall-clock admission → completion
 
-	Tenant string        // tenant the request ran under ("" in legacy mode)
-	Model  string        // model that served it ("" in legacy mode)
+	Tenant string        // tenant the request ran under ("" without Config.Tenants)
+	Model  string        // registry ID of the model that served it
 	Swap   time.Duration // re-setup billed because the model was not resident
 }
 
 // Request is one unit of work with its tenancy annotations. The zero
 // Tenant/Model mean "the first tenant" and "the default model", so a
-// Request{Fill: f, Consume: c} is exactly a legacy Do call.
+// Request{Fill: f, Consume: c} is exactly a Do call.
 type Request struct {
 	// Tenant names the submitting tenant. Must be a configured tenant
 	// when Config.Tenants is set; "" maps to the first tenant.
 	Tenant string
 
 	// Model names the registered model to run. "" means the default
-	// model; non-empty names require Config.Registry.
+	// model.
 	Model string
 
 	// Fill populates the input tensor (may run more than once under
@@ -441,7 +412,7 @@ type request struct {
 	fill    func(in *tensor.Tensor)
 	consume func(out *tensor.Tensor)
 	tenant  *tenantState // resolved admission tenant (never nil once admitted)
-	model   string       // resolved model ID ("" in legacy mode)
+	model   string       // resolved model ID
 	enq     time.Time
 	deq     time.Time    // dequeue into a batch; zero while queued (under s.mu)
 	res     chan outcome // buffered, cap 1; receives exactly one outcome
@@ -461,17 +432,15 @@ type workerStats struct {
 }
 
 // modelBind is one worker's runner (and optional integrity checker) for
-// one model. A legacy server has a single bind keyed ""; a registry-mode
-// worker grows binds lazily as models are dispatched to it. Only the
+// one registry entry. A worker binds the default model at construction and
+// grows further binds lazily as models are dispatched to it. Only the
 // worker goroutine touches the runner/integ/loaded fields; the accounting
 // fields are guarded by worker.mu.
 type modelBind struct {
-	id      string          // model ID ("" in legacy mode)
-	version int             // registry entry version the runner was built from
-	entry   *registry.Entry // nil in legacy mode
-	runner  *pipeline.ResilientRunner
-	integ   *integrity.Checker
-	loaded  bool // host worker paid its one-time model-load bill
+	entry  *registry.Entry // the entry (ID, Version) the runner was built from
+	runner *pipeline.ResilientRunner
+	integ  *integrity.Checker
+	loaded bool // host worker paid its one-time model-load bill
 
 	// Guarded by worker.mu.
 	report   pipeline.ReliabilityReport // snapshot after the last invoke
@@ -486,9 +455,8 @@ type modelBind struct {
 // reliability snapshot under mu so Report can read it without blocking
 // behind an in-flight invoke.
 type worker struct {
-	id    int
-	name  string // backend class (tpu.Name, hostcpu.Name, binhd.Name)
-	accel bool   // accelerated class: participates in device-memory simulation
+	id   int
+	name string // backend class (tpu.Name, hostcpu.Name, binhd.Name)
 
 	// cur is the currently bound model; binds caches every model this
 	// worker has ever bound. Both are touched only by the worker goroutine
@@ -496,8 +464,8 @@ type worker struct {
 	cur   *modelBind
 	binds map[string]*modelBind
 
-	// mem simulates this worker's on-chip parameter memory in registry
-	// mode (nil otherwise, and for host workers).
+	// mem simulates this worker's on-chip parameter memory (nil for host
+	// workers).
 	mem *registry.DeviceMemory
 
 	// policy/plan/labels are the positional seeds and metric labels the
@@ -550,8 +518,7 @@ func (w *worker) rowView(t *tensor.Tensor, i int) *tensor.Tensor {
 type Server struct {
 	cfg      Config
 	p        pipeline.Platform // platform lazy binds are built against
-	defModel string            // resolved default model ID ("" in legacy mode)
-	golden   *integrity.Golden // legacy-mode shared golden (nil in registry mode)
+	defModel string            // the first registered model ID
 	workers  []*worker
 	met      *serveMetrics // live registry handles (one source of truth)
 	traces   *traceRing
@@ -560,7 +527,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	sched    *scheduler            // per-tenant queues; single anonymous FIFO in legacy mode
+	sched    *scheduler            // per-tenant queues; one anonymous FIFO without Config.Tenants
 	pending  map[*request]struct{} // admitted, not yet settled
 	draining bool
 	wg       sync.WaitGroup
@@ -591,13 +558,11 @@ type counters struct {
 	PerSample        *metrics.Histogram // simulated compute time per sample row
 }
 
-// New builds a server over the configured fleet — by default cfg.Devices
-// simulated accelerator workers, each loaded with cm and armed with its
-// fault plan; with cfg.Fleet set, a heterogeneous mix of accelerator and
-// host-CPU workers — and starts the worker pool. With cfg.Registry set, cm
-// may be nil: the registry's default model takes its place, every worker
-// pre-binds it (the construction-time model upload the single-model server
-// performs), and further models bind lazily as requests name them.
+// New builds a server over the configured fleet and starts the worker pool.
+// Every worker binds the registry's default model at construction (the
+// initial model upload); further models bind lazily as requests name them.
+// Without cfg.Registry, cm (with cfg.Bipolar) is registered under its graph
+// name in a private one-entry registry; with one, cm is ignored.
 func New(p pipeline.Platform, cm *edgetpu.CompiledModel, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -605,53 +570,34 @@ func New(p pipeline.Platform, cm *edgetpu.CompiledModel, cfg Config) (*Server, e
 	if cfg.Policy == (pipeline.RecoveryPolicy{}) {
 		cfg.Policy = pipeline.DefaultRecoveryPolicy()
 	}
-	n := cfg.workers()
-	fleet := cfg.fleet()
-	hasBin := false
-	for _, kind := range fleet {
-		hasBin = hasBin || kind == binhd.Name
+	if len(cfg.Fleet) == 0 {
+		cfg.Fleet = TPUFleet(1)
 	}
-
-	// Resolve the default model: in registry mode it stands in for cm.
-	var defEntry *registry.Entry
-	defModel := ""
-	if cfg.Registry != nil {
-		ids := cfg.Registry.IDs()
-		if len(ids) == 0 {
-			return nil, fmt.Errorf("serve: registry holds no models")
-		}
-		defModel = cfg.DefaultModel
-		if defModel == "" {
-			defModel = ids[0]
-		}
-		e, ok := cfg.Registry.Get(defModel)
-		if !ok {
-			return nil, fmt.Errorf("serve: default model %q is not registered", defModel)
-		}
-		defEntry = e
-		if cm == nil {
-			cm = e.Compiled
-		}
-		for _, id := range ids {
-			ent, _ := cfg.Registry.Get(id)
-			if err := checkServable(ent.ID, ent.Compiled, cfg.MaxBatch); err != nil {
-				return nil, err
-			}
-			if hasBin && ent.Bipolar == nil {
-				return nil, fmt.Errorf("serve: fleet has %q workers but model %q has no bipolar form", binhd.Name, id)
-			}
-		}
-	} else {
-		if cfg.DefaultModel != "" {
-			return nil, fmt.Errorf("serve: DefaultModel %q without a Registry", cfg.DefaultModel)
-		}
+	if g := cfg.Registry; g == nil {
 		if cm == nil {
 			return nil, fmt.Errorf("serve: nil compiled model and no registry")
 		}
-		if err := checkServable(cm.Model.Name, cm, cfg.MaxBatch); err != nil {
+		g = registry.New()
+		if _, err := g.Register(cm.Model.Name, cm, cfg.Bipolar); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+		cfg.Registry = g
+	}
+	ids := cfg.Registry.IDs()
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("serve: registry holds no models")
+	}
+	hasBin := slices.Contains(cfg.Fleet, binhd.Name)
+	for _, id := range ids {
+		ent, _ := cfg.Registry.Get(id)
+		if err := checkServable(ent.ID, ent.Compiled, cfg.MaxBatch); err != nil {
 			return nil, err
 		}
+		if hasBin && ent.Bipolar == nil {
+			return nil, fmt.Errorf("serve: fleet has %q workers but model %q has no bipolar form", binhd.Name, id)
+		}
 	}
+	defEntry, _ := cfg.Registry.Get(ids[0])
 
 	reg := cfg.Metrics
 	if reg == nil {
@@ -660,19 +606,10 @@ func New(p pipeline.Platform, cm *edgetpu.CompiledModel, cfg Config) (*Server, e
 	s := &Server{
 		cfg:      cfg,
 		p:        p,
-		defModel: defModel,
+		defModel: defEntry.ID,
 		pending:  make(map[*request]struct{}),
 		met:      newServeMetrics(reg),
 		traces:   newTraceRing(cfg.TraceDepth),
-	}
-	// The legacy golden integrity reference is computed once from the
-	// compiled model and shared read-only across all workers; registry-mode
-	// goldens live per entry and are computed on first bind.
-	if cfg.Registry == nil && cfg.Integrity.Enabled() && cfg.Integrity.ScrubInterval > 0 {
-		var err error
-		if s.golden, err = integrity.ComputeGolden(cm); err != nil {
-			return nil, err
-		}
 	}
 	s.sched = newScheduler(cfg.Tenants)
 	if len(cfg.Tenants) > 0 {
@@ -681,25 +618,21 @@ func New(p pipeline.Platform, cm *edgetpu.CompiledModel, cfg Config) (*Server, e
 		}
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for i := 0; i < n; i++ {
+	for i, kind := range cfg.Fleet {
 		// Every worker takes its positional seed offsets, whatever its class,
 		// so swapping one worker's class never re-seeds its neighbours.
 		policy := cfg.Policy
 		policy.Seed += uint64(i)
 		plan := cfg.Plan
-		if len(cfg.Plans) == n {
-			plan = cfg.Plans[i]
-		} else {
-			plan.Seed += uint64(i)
-		}
+		plan.Seed += uint64(i)
 		w := &worker{
-			id: i, name: fleet[i], accel: fleet[i] == tpu.Name,
+			id: i, name: kind,
 			policy: policy, plan: plan,
-			labels: fmt.Sprintf("worker=%q,backend=%q", strconv.Itoa(i), fleet[i]),
+			labels: fmt.Sprintf("worker=%q,backend=%q", strconv.Itoa(i), kind),
 			binds:  map[string]*modelBind{},
 			stats:  workerStats{Latency: metrics.NewHistogram()},
 		}
-		if cfg.Registry != nil && w.accel {
+		if kind == tpu.Name {
 			budget := cfg.MemBudget
 			if budget == 0 {
 				budget = defEntry.Compiled.Config.ParamMemBytes
@@ -709,26 +642,23 @@ func New(p pipeline.Platform, cm *edgetpu.CompiledModel, cfg Config) (*Server, e
 				return nil, err
 			}
 			mem.Instrument(reg, w.labels)
+			// The default model uploads at construction: resident from the
+			// start, no re-setup bill on its first request.
+			mem.Preload(defEntry)
 			w.mem = mem
 		}
-		b, err := s.buildBind(w, defModel, defEntry, cm)
+		b, err := s.buildBind(w, defEntry)
 		if err != nil {
-			return nil, fmt.Errorf("serve: worker %d (%s): %w", i, fleet[i], err)
+			return nil, fmt.Errorf("serve: worker %d (%s): %w", i, kind, err)
 		}
-		w.cur = b
-		w.binds[defModel] = b
 		// The construction-time bind is the unbilled initial model load,
 		// for host silicon exactly as Preload is for device memory.
 		b.loaded = true
-		if w.mem != nil {
-			// The default model uploads at construction, exactly like the
-			// single-model server's LoadModel: resident from the start, no
-			// re-setup bill on its first request.
-			w.mem.Preload(defEntry)
-		}
+		w.cur = b
+		w.binds[defEntry.ID] = b
 		s.workers = append(s.workers, w)
 	}
-	s.wg.Add(n)
+	s.wg.Add(len(s.workers))
 	for _, w := range s.workers {
 		go s.workerLoop(w)
 	}
@@ -750,17 +680,11 @@ func checkServable(name string, cm *edgetpu.CompiledModel, maxBatch int) error {
 }
 
 // buildBind constructs one worker's runner (and integrity checker) for one
-// model. Called from New for the default model and from the worker
+// registry entry. Called from New for the default model and from the worker
 // goroutine for lazy binds; it touches no shared server state beyond the
 // (concurrency-safe) metrics registry.
-func (s *Server) buildBind(w *worker, id string, e *registry.Entry, cm *edgetpu.CompiledModel) (*modelBind, error) {
-	bip := s.cfg.Bipolar
-	version := 0
-	if e != nil {
-		cm = e.Compiled
-		bip = e.Bipolar
-		version = e.Version
-	}
+func (s *Server) buildBind(w *worker, e *registry.Entry) (*modelBind, error) {
+	cm := e.Compiled
 	var r *pipeline.ResilientRunner
 	var err error
 	switch w.name {
@@ -778,7 +702,7 @@ func (s *Server) buildBind(w *worker, id string, e *registry.Entry, cm *edgetpu.
 		// MaxBatch validation hold fleet-wide. Like hostcpu they cannot
 		// fault and have no degraded mode.
 		var prim *binhd.Backend
-		if prim, err = binhd.New(s.p.Host, bip, cm.BatchCapacity()); err == nil {
+		if prim, err = binhd.New(s.p.Host, e.Bipolar, cm.BatchCapacity()); err == nil {
 			r, err = pipeline.WrapBackends(prim, nil, w.policy)
 		}
 	default:
@@ -788,17 +712,14 @@ func (s *Server) buildBind(w *worker, id string, e *registry.Entry, cm *edgetpu.
 		return nil, err
 	}
 	// Stream this worker's reliability events and its backend's invoke
-	// telemetry into the shared registry, labelled per worker (and per
-	// model in registry mode) so the whole fleet coexists in one namespace.
-	labels := w.labels
-	if id != "" {
-		labels += fmt.Sprintf(",model=%q", id)
-	}
+	// telemetry into the shared registry, labelled per worker and model so
+	// the whole fleet coexists in one namespace.
+	labels := w.labels + fmt.Sprintf(",model=%q", e.ID)
 	r.Instrument(s.met.reg, labels)
 	if ib, ok := r.Backend().(instrumentable); ok {
 		ib.Instrument(s.met.reg, labels)
 	}
-	b := &modelBind{id: id, version: version, entry: e, runner: r}
+	b := &modelBind{entry: e, runner: r}
 	if b.integ, err = s.bindIntegrity(w, b, labels); err != nil {
 		return nil, err
 	}
@@ -818,31 +739,25 @@ func (s *Server) bindIntegrity(w *worker, b *modelBind, labels string) (*integri
 		return nil, nil
 	}
 	pol := s.cfg.Integrity
-	if b.entry != nil {
-		if b.entry.Integrity != nil {
-			pol = b.entry.Integrity
-		} else if pol != nil && b.id != s.defModel && len(pol.Canaries) > 0 {
-			// The server-level canaries answer against the default model
-			// only; a different model would fail them while healthy. Other
-			// models run scrub-only unless their entry carries a policy.
-			stripped := *pol
-			stripped.Canaries = nil
-			stripped.CanaryInterval = 0
-			pol = &stripped
-		}
+	if b.entry.Integrity != nil {
+		pol = b.entry.Integrity
+	} else if pol != nil && b.entry.ID != s.defModel && len(pol.Canaries) > 0 {
+		// The server-level canaries answer against the default model only;
+		// a different model would fail them while healthy. Other models run
+		// scrub-only unless their entry carries a policy.
+		stripped := *pol
+		stripped.Canaries = nil
+		stripped.CanaryInterval = 0
+		pol = &stripped
 	}
 	if !pol.Enabled() {
 		return nil, nil
 	}
 	var golden *integrity.Golden
 	if pol.ScrubInterval > 0 {
-		if b.entry != nil {
-			var err error
-			if golden, err = b.entry.Golden(); err != nil {
-				return nil, err
-			}
-		} else {
-			golden = s.golden
+		var err error
+		if golden, err = b.entry.Golden(); err != nil {
+			return nil, err
 		}
 	}
 	var target integrity.Target
@@ -863,8 +778,7 @@ func (s *Server) bindIntegrity(w *worker, b *modelBind, labels string) (*integri
 }
 
 // Do submits one request under the default tenant and model and blocks
-// until it settles — the legacy single-tenant entry point, unchanged in
-// behavior. fill populates the input tensor (may run more than once under
+// until it settles. fill populates the input tensor (may run more than once under
 // recovery; must be idempotent); consume, if non-nil, reads the output
 // tensor before the worker reuses it — copy out anything kept past the call.
 func (s *Server) Do(ctx context.Context, fill func(in *tensor.Tensor), consume func(out *tensor.Tensor)) (Result, error) {
@@ -884,17 +798,11 @@ func (s *Server) Submit(ctx context.Context, req Request) (Result, error) {
 		return Result{}, &UnknownTenantError{Name: req.Tenant}
 	}
 	model := req.Model
-	if s.cfg.Registry == nil {
-		if model != "" {
-			return Result{}, &UnknownModelError{Model: model}
-		}
-	} else {
-		if model == "" {
-			model = s.defModel
-		}
-		if _, ok := s.cfg.Registry.Get(model); !ok {
-			return Result{}, &UnknownModelError{Model: model}
-		}
+	if model == "" {
+		model = s.defModel
+	}
+	if _, ok := s.cfg.Registry.Get(model); !ok {
+		return Result{}, &UnknownModelError{Model: model}
 	}
 
 	// Deadline precedence: the caller's own context deadline, else the
@@ -1231,20 +1139,17 @@ func (s *Server) maintain(w *worker) {
 // bind points w at model before an invoke, lazily building (or rebuilding,
 // after a hot swap) the runner, and charges the device-memory admission:
 // the returned swap is the re-setup this invoke must be billed because the
-// model was not resident — zero on a residency hit, and always zero in
-// legacy mode. Runs on the worker goroutine; the binds-map write is under
-// w.mu so Report can walk the map concurrently.
+// model was not resident — zero on a residency hit. Runs on the worker
+// goroutine; the binds-map write is under w.mu so Report can walk the map
+// concurrently.
 func (s *Server) bind(w *worker, model string) (*modelBind, time.Duration, error) {
-	if s.cfg.Registry == nil {
-		return w.cur, 0, nil
-	}
 	e, ok := s.cfg.Registry.Get(model)
 	if !ok {
 		return nil, 0, &UnknownModelError{Model: model}
 	}
 	b := w.binds[model]
-	if b == nil || b.version != e.Version {
-		nb, err := s.buildBind(w, model, e, nil)
+	if b == nil || b.entry.Version != e.Version {
+		nb, err := s.buildBind(w, e)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -1556,7 +1461,7 @@ func (s *Server) Report() ServeReport {
 	s.mu.Lock()
 	c := s.met.counters()
 	s.mu.Unlock()
-	rep := ServeReport{counters: c, Devices: len(s.workers), Fleet: s.cfg.fleet(), Health: s.Health()}
+	rep := ServeReport{counters: c, Devices: len(s.workers), Fleet: s.cfg.Fleet, Health: s.Health()}
 	byName := make(map[string]int) // backend class -> index into rep.Backends
 	type modelAgg struct {
 		requests, invokes int
@@ -1574,16 +1479,14 @@ func (s *Server) Report() ServeReport {
 			if mb.integ != nil {
 				integs = append(integs, mb.integ)
 			}
-			if s.cfg.Registry != nil {
-				a := models[mb.id]
-				if a == nil {
-					a = &modelAgg{}
-					models[mb.id] = a
-				}
-				a.requests += mb.requests
-				a.invokes += mb.invokes
-				a.swap += mb.swap
+			a := models[mb.entry.ID]
+			if a == nil {
+				a = &modelAgg{}
+				models[mb.entry.ID] = a
 			}
+			a.requests += mb.requests
+			a.invokes += mb.invokes
+			a.swap += mb.swap
 		}
 		w.mu.Unlock()
 		mergeReliability(&rep.Reliability, wrel)
@@ -1637,15 +1540,13 @@ func (s *Server) Report() ServeReport {
 			})
 		}
 	}
-	if s.cfg.Registry != nil {
-		for _, id := range s.cfg.Registry.IDs() {
-			e, _ := s.cfg.Registry.Get(id)
-			ms := ModelStats{ID: id, Version: e.Version, Footprint: e.Footprint, Setup: e.Setup}
-			if a := models[id]; a != nil {
-				ms.Requests, ms.Invokes, ms.Swap = a.requests, a.invokes, a.swap
-			}
-			rep.Models = append(rep.Models, ms)
+	for _, id := range s.cfg.Registry.IDs() {
+		e, _ := s.cfg.Registry.Get(id)
+		ms := ModelStats{ID: id, Version: e.Version, Footprint: e.Footprint, Setup: e.Setup}
+		if a := models[id]; a != nil {
+			ms.Requests, ms.Invokes, ms.Swap = a.requests, a.invokes, a.swap
 		}
+		rep.Models = append(rep.Models, ms)
 	}
 	return rep
 }
@@ -1669,7 +1570,7 @@ func (s *Server) IntegrityEvents() []integrity.Event {
 
 // RegistryEvents merges every accelerated worker's retained residency
 // transitions (hits, misses, evictions) into one Seq-ordered stream. Empty
-// outside registry mode.
+// for a fleet without accelerated workers.
 func (s *Server) RegistryEvents() []registry.Event {
 	var evs []registry.Event
 	for _, w := range s.workers {

@@ -3,11 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hdcedge/internal/backend/hostcpu"
+	"hdcedge/internal/backend/tpu"
 	"hdcedge/internal/dataset"
 	"hdcedge/internal/edgetpu"
 	"hdcedge/internal/hdc"
@@ -46,6 +49,16 @@ func rowFill(ds *dataset.Dataset, i int) func(in *tensor.Tensor) {
 	}
 }
 
+// workerSeries names one worker's per-model metric series for a server
+// serving cm, e.g. hdc_backend_invokes_total{worker="0",backend="tpu",model="…"}.
+// lead, when non-empty, is a metric-specific label placed first.
+func workerSeries(metric, lead string, worker int, class string, cm *edgetpu.CompiledModel) string {
+	if lead != "" {
+		lead += ","
+	}
+	return fmt.Sprintf("%s{%sworker=%q,backend=%q,model=%q}", metric, lead, fmt.Sprint(worker), class, cm.Model.Name)
+}
+
 // fastPolicy keeps wall-clock backoff negligible so fault-path tests run
 // quickly even though InvokeCtx really sleeps.
 func fastPolicy() pipeline.RecoveryPolicy {
@@ -65,7 +78,7 @@ func TestServeBitIdenticalToDirectRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(p, cm, Config{Devices: 1, Policy: policy})
+	s, err := New(p, cm, Config{Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +127,7 @@ func TestServeBitIdenticalToDirectRunner(t *testing.T) {
 
 func TestServeShedsOnFullQueue(t *testing.T) {
 	p, cm, ds := serveModel(t)
-	s, err := New(p, cm, Config{Devices: 1, QueueCapacity: 1, Policy: fastPolicy()})
+	s, err := New(p, cm, Config{QueueCapacity: 1, Policy: fastPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +183,6 @@ func TestServeDeadlineCancelsMidBackoff(t *testing.T) {
 	policy.BaseBackoff = 2 * time.Second
 	policy.MaxBackoff = 4 * time.Second
 	s, err := New(p, cm, Config{
-		Devices:         1,
 		DefaultDeadline: 30 * time.Millisecond,
 		Policy:          policy,
 		Plan:            edgetpu.FaultPlan{Seed: 1, LinkErrorRate: 1},
@@ -200,7 +212,6 @@ func TestServeCallerDeadlineWinsOverDefault(t *testing.T) {
 	policy.BaseBackoff = 2 * time.Second
 	policy.MaxBackoff = 4 * time.Second
 	s, err := New(p, cm, Config{
-		Devices:         1,
 		DefaultDeadline: time.Hour,
 		Policy:          policy,
 		Plan:            edgetpu.FaultPlan{Seed: 1, LinkErrorRate: 1},
@@ -223,7 +234,7 @@ func TestServeCallerDeadlineWinsOverDefault(t *testing.T) {
 
 func TestServeDrainCompletesInFlight(t *testing.T) {
 	p, cm, ds := serveModel(t)
-	s, err := New(p, cm, Config{Devices: 1, DrainDeadline: 5 * time.Second, Policy: fastPolicy()})
+	s, err := New(p, cm, Config{DrainDeadline: 5 * time.Second, Policy: fastPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +291,6 @@ func TestServeDrainDeadlineForceFails(t *testing.T) {
 	policy.MaxBackoff = 60 * time.Second
 	policy.BreakerThreshold = 1000
 	s, err := New(p, cm, Config{
-		Devices:       1,
 		DrainDeadline: 50 * time.Millisecond,
 		Policy:        policy,
 		Plan:          edgetpu.FaultPlan{Seed: 1, LinkErrorRate: 1},
@@ -360,15 +370,13 @@ func TestServeHealthStates(t *testing.T) {
 	}
 
 	// One dead device of two → Degraded (work still completes via the
-	// healthy device and the dead one's host fallback).
+	// dead device's host fallback and the CPU worker, which the fault plan
+	// cannot reach).
 	s, err := New(p, cm, Config{
-		Devices:       2,
+		Fleet:         FleetSpec{tpu.Name, hostcpu.Name},
 		Policy:        policy,
 		PacePerInvoke: time.Millisecond,
-		Plans: []edgetpu.FaultPlan{
-			{Seed: 1, LinkErrorRate: 1},
-			{},
-		},
+		Plan:          edgetpu.FaultPlan{Seed: 1, LinkErrorRate: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +394,7 @@ func TestServeHealthStates(t *testing.T) {
 
 	// Every device dead → Critical.
 	s2, err := New(p, cm, Config{
-		Devices:       2,
+		Fleet:         TPUFleet(2),
 		Policy:        policy,
 		PacePerInvoke: time.Millisecond,
 		Plan:          edgetpu.FaultPlan{Seed: 1, LinkErrorRate: 1},
@@ -408,7 +416,7 @@ func TestServeConcurrentLoadBalances(t *testing.T) {
 	// Hammer a four-device server from many goroutines; every submitted
 	// request must settle and the counters must balance. Run under -race.
 	p, cm, ds := serveModel(t)
-	s, err := New(p, cm, Config{Devices: 4, Policy: fastPolicy()})
+	s, err := New(p, cm, Config{Fleet: TPUFleet(4), Policy: fastPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,14 +461,12 @@ func TestServeConcurrentLoadBalances(t *testing.T) {
 
 func TestServeConfigValidate(t *testing.T) {
 	bad := []Config{
-		{Devices: -1},
 		{DefaultDeadline: -time.Second},
 		{DrainDeadline: -time.Second},
 		{PacePerInvoke: -time.Second},
 		{PaceScale: -0.5},
 		{MaxBatch: -1},
 		{BatchWindow: -time.Millisecond},
-		{Devices: 2, Plans: []edgetpu.FaultPlan{{}}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

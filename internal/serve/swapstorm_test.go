@@ -56,7 +56,7 @@ func TestServeBindDuringSwapStorm(t *testing.T) {
 	if _, err := g.Register("m", cm1, nil); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(p, nil, Config{Devices: 2, Policy: fastPolicy(), Registry: g})
+	s, err := New(p, nil, Config{Fleet: TPUFleet(2), Policy: fastPolicy(), Registry: g})
 	if err != nil {
 		t.Fatal(err)
 	}

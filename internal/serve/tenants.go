@@ -13,8 +13,7 @@ import (
 // spec parsing (typed errors, same discipline as ParseFleet) and the
 // admission scheduler — strict priority classes, stride-based weighted-fair
 // queuing within a class, per-tenant quotas and deadlines. With no tenants
-// configured the scheduler degenerates to the single FIFO the server always
-// had, keeping the legacy path bit-identical. See docs/multitenant.md.
+// configured the scheduler degenerates to one FIFO. See docs/multitenant.md.
 
 // TenantSpec is one tenant's scheduling contract.
 type TenantSpec struct {
@@ -231,9 +230,9 @@ func (e *UnknownModelError) Error() string {
 	return fmt.Sprintf("serve: unknown model %q", e.Model)
 }
 
-// tenantMetrics are one tenant's live registry handles; nil in legacy
-// (tenant-less) mode so the metrics namespace stays identical to the
-// single-tenant server.
+// tenantMetrics are one tenant's live registry handles; nil without
+// configured tenants, so a tenant-less server exports no hdc_tenant_*
+// series.
 type tenantMetrics struct {
 	admitted       *metrics.Counter
 	shed           *metrics.Counter
@@ -275,7 +274,7 @@ type scheduler struct {
 }
 
 // newScheduler builds the per-tenant queues; with no specs it creates the
-// single anonymous tenant whose FIFO is exactly the legacy queue.
+// single anonymous tenant whose FIFO is the whole queue.
 func newScheduler(specs []TenantSpec) *scheduler {
 	if len(specs) == 0 {
 		specs = []TenantSpec{{}}
