@@ -3,18 +3,24 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race fuzz-smoke chaos-smoke seu-smoke binhd-smoke tenant-smoke online-smoke bench bench-serve bench-binhd bench-e2e experiments examples clean
+.PHONY: all build test vet fmt-check tanh-exhaustive race fuzz-smoke chaos-smoke seu-smoke binhd-smoke tenant-smoke online-smoke bench bench-serve bench-binhd bench-e2e experiments examples clean
 
 all: vet test
 
 build:
 	$(GO) build ./...
 
+# Fails, listing the files, when any Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
+
 # go vet runs every enabled-by-default analyzer; shadowcheck covers the
 # builtin-shadowing class (`cap := ...`) vet has no default analyzer for.
 # govulncheck scans for known-vulnerable dependency paths when the tool is
 # installed; it is gated so offline checkouts still vet cleanly.
-vet:
+vet: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./tools/shadowcheck .
 	@if command -v govulncheck >/dev/null 2>&1; then \
@@ -29,7 +35,7 @@ vet:
 # its contract under the race detector too. The benchmark harness is a
 # nested module that `./...` cannot see, so it is vetted and tested on its
 # own: an internal API change must not break it silently.
-test:
+test: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./tools/shadowcheck .
 	$(GO) test ./...
@@ -45,6 +51,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The host tanh kernel against its reference, float32(math.Tanh(x)), bit
+# for bit on all 2^32 float32 inputs. Too slow for every `make test`
+# (about a minute on two cores); `make test` runs a strided sweep.
+tanh-exhaustive:
+	$(GO) test -count=1 -tags tanhexhaustive -run '^TestTanhSliceExhaustive$$' -timeout 60m -v ./internal/tensor/
 
 # A short seeded chaos scenario under the race detector: the router's
 # failover/hedging/drain machinery racing injected node failures. Fast

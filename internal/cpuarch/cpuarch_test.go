@@ -155,7 +155,7 @@ func TestPopcountGEMMTime(t *testing.T) {
 	// dispatch. 64 rows x 26 classes x 160 words at 2.5e9 ops/s.
 	m, dim, k := 64, 10000, 26
 	words := (dim + 63) / 64
-	ops := float64(m*k*words)
+	ops := float64(m * k * words)
 	want := s.DispatchOverhead + time.Duration(ops/s.BitOpsPerSec*float64(time.Second))
 	if got := s.PopcountGEMMTime(m, dim, k); got != want {
 		t.Fatalf("PopcountGEMMTime = %v, want %v", got, want)

@@ -107,3 +107,21 @@ func BenchmarkAdaptStreaming(b *testing.B) {
 		m.Adapt(ds.X.Row(idx), ds.Y[idx], 1)
 	}
 }
+
+// BenchmarkAdaptOnlinePAMAP2 is the online trainer's per-feedback host
+// work at the PAMAP2 shape (27 features, d=10,000, 5 classes): one
+// non-linear encode plus one cosine scoring and update.
+func BenchmarkAdaptOnlinePAMAP2(b *testing.B) {
+	ds := benchData(b, 27, 1000, 5)
+	m := NewModel(NewEncoder(27, DefaultDim, true, rng.New(11)), ds.Classes)
+	scratch := m.NewAdaptScratch()
+	for i := 0; i < 200; i++ {
+		m.AdaptOnline(scratch, ds.X.Row(i), ds.Y[i], OnlineConfig{})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := i % ds.Samples()
+		m.AdaptOnline(scratch, ds.X.Row(idx), ds.Y[idx], OnlineConfig{})
+	}
+}

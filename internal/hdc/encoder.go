@@ -51,12 +51,14 @@ func (e *Encoder) Features() int { return e.Base.Shape[0] }
 func (e *Encoder) Dim() int { return e.Base.Shape[1] }
 
 // Encode writes the hypervector for one feature vector into dst
-// (length Dim).
+// (length Dim). The non-linear encoding bundles and applies tanh in one
+// parallel pass (tensor.VecMatTanh).
 func (e *Encoder) Encode(dst, features []float32) {
-	tensor.VecMat(dst, features, e.Base)
 	if e.Nonlinear {
-		tensor.TanhSlice(dst)
+		tensor.VecMatTanh(dst, features, e.Base)
+		return
 	}
+	tensor.VecMat(dst, features, e.Base)
 }
 
 // EncodeBatch encodes an [s, n] design matrix into an [s, d] matrix of

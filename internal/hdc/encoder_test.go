@@ -87,6 +87,31 @@ func TestEncodeLinearSkipsTanh(t *testing.T) {
 	}
 }
 
+// TestEncodeFusedMatchesVecMatThenTanh pins the one-pass non-linear
+// Encode bit for bit to VecMat followed by TanhSlice, at the paper's
+// width and with zero (bagging-masked) features.
+func TestEncodeFusedMatchesVecMatThenTanh(t *testing.T) {
+	e := NewEncoder(27, DefaultDim, true, rng.New(12))
+	r := rng.New(13)
+	f := make([]float32, 27)
+	r.FillNormal(f)
+	for _, i := range []int{0, 5, 6, 26} {
+		f[i] = 0
+	}
+	got := make([]float32, DefaultDim)
+	want := make([]float32, DefaultDim)
+	for _, x := range [][]float32{f, make([]float32, 27)} {
+		e.Encode(got, x)
+		tensor.VecMat(want, x, e.Base)
+		tensor.TanhSlice(want)
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("elem %d: %v, want %v", j, got[j], want[j])
+			}
+		}
+	}
+}
+
 func TestEncodeBatchMatchesSingle(t *testing.T) {
 	e := NewEncoder(8, 128, true, rng.New(6))
 	r := rng.New(7)

@@ -2,6 +2,7 @@ package hdc
 
 import (
 	"fmt"
+	"math"
 
 	"hdcedge/internal/dataset"
 	"hdcedge/internal/rng"
@@ -75,18 +76,31 @@ func (m *Model) FitOnline(enc *tensor.Tensor, y []int, cfg OnlineConfig, r *rng.
 }
 
 // cosineScores fills scores with cosine similarities regardless of the
-// model's configured inference metric.
+// model's configured inference metric. Each class row is swept once for
+// both its dot with e and its squared norm; the accumulation order and
+// types are tensor.MatVec's and tensor.Norm's, so the scores are
+// bit-identical to MatVec followed by per-row Norm.
 func (m *Model) cosineScores(scores, e []float32) {
-	tensor.MatVec(scores, m.Classes, e)
-	ne := tensor.Norm(e)
-	if ne == 0 {
-		return
+	d := m.Dim()
+	if len(e) != d || len(scores) != m.K() {
+		panic(fmt.Sprintf("hdc: cosineScores dims: classes %v, e %d, scores %d", m.Classes.Shape, len(e), len(scores)))
 	}
+	ne := tensor.Norm(e)
 	for c := range scores {
-		nc := tensor.Norm(m.Classes.Row(c))
-		if nc > 0 {
-			scores[c] /= ne * nc
-		} else {
+		row := m.Classes.F32[c*d : (c+1)*d]
+		var dot float32
+		var sq float64
+		e := e[:len(row)]
+		for j, v := range row {
+			dot += v * e[j]
+			sq += float64(v) * float64(v)
+		}
+		switch nc := float32(math.Sqrt(sq)); {
+		case ne == 0:
+			scores[c] = dot
+		case nc > 0:
+			scores[c] = dot / (ne * nc)
+		default:
 			scores[c] = 0
 		}
 	}

@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"math"
 	"testing"
 
 	"hdcedge/internal/rng"
@@ -222,6 +223,45 @@ func TestAdaptWithZeroAllocs(t *testing.T) {
 		m.AdaptOnline(scratch, train.X.Row(s), train.Y[s], OnlineConfig{LearningRate: 1, Margin: 0.3})
 	}); n != 0 {
 		t.Fatalf("AdaptOnline allocates %.1f objects per call; want 0", n)
+	}
+}
+
+// TestCosineScoresMatchMatVecNorm pins the one-sweep cosine scoring bit
+// for bit to tensor.MatVec plus per-row tensor.Norm, including a zero
+// query (raw dots come back) and a zero class row (scores 0). The second
+// shape has many short rows, so a norm accumulated any other way (say,
+// squaring in float32) changes some float32 norms and fails.
+func TestCosineScoresMatchMatVecNorm(t *testing.T) {
+	r := rng.New(14)
+	for _, shape := range []struct{ d, k int }{{1001, 5}, {101, 200}} {
+		m := NewModel(NewEncoder(4, shape.d, true, r), shape.k)
+		r.FillNormal(m.Classes.F32)
+		clear(m.Classes.Row(2))
+		e := make([]float32, m.Dim())
+		r.FillNormal(e)
+		got := make([]float32, m.K())
+		want := make([]float32, m.K())
+		for qi, q := range [][]float32{e, make([]float32, m.Dim())} {
+			m.cosineScores(got, q)
+			tensor.MatVec(want, m.Classes, q)
+			if ne := tensor.Norm(q); ne != 0 {
+				for c := range want {
+					if nc := tensor.Norm(m.Classes.Row(c)); nc > 0 {
+						want[c] /= ne * nc
+					} else {
+						want[c] = 0
+					}
+				}
+			}
+			for c := range want {
+				if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
+					t.Fatalf("d%d k%d query %d class %d: %v, want %v", shape.d, shape.k, qi, c, got[c], want[c])
+				}
+			}
+		}
+		if got[2] != 0 {
+			t.Fatalf("zero class row scored %v against a zero query", got[2])
+		}
 	}
 }
 

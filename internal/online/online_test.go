@@ -202,9 +202,9 @@ func TestTrainerRejectsMalformedFeedback(t *testing.T) {
 	if err := tr.Start(); err != nil {
 		t.Fatal(err)
 	}
-	tr.Offer(Feedback{Features: make([]float32, 3), Label: 0})            // wrong width
-	tr.Offer(Feedback{Features: ds.X.Row(0), Label: 99})                  // bad label
-	tr.Offer(Feedback{Model: "ghost", Features: ds.X.Row(0), Label: 0})   // unknown model
+	tr.Offer(Feedback{Features: make([]float32, 3), Label: 0})          // wrong width
+	tr.Offer(Feedback{Features: ds.X.Row(0), Label: 99})                // bad label
+	tr.Offer(Feedback{Model: "ghost", Features: ds.X.Row(0), Label: 0}) // unknown model
 	tr.Quiesce()
 	tr.Close()
 	st := tr.Stats()

@@ -136,7 +136,7 @@ func TestBreakerProbeOutcomeMetrics(t *testing.T) {
 	for i := 0; i < 2; i++ { // cooldown
 		invoke()
 	}
-	invoke() // probe: link still dead → re-trip
+	invoke()                 // probe: link still dead → re-trip
 	for i := 0; i < 2; i++ { // second cooldown
 		invoke()
 	}

@@ -121,7 +121,8 @@ type memMetrics struct {
 
 // eventCap bounds the retained event log per device; a long-running server
 // keeps the most recent transitions, which is what operators and the
-// determinism tests look at.
+// determinism tests look at. Once full the log is a ring: a new event
+// overwrites the oldest in place, so logging never copies the log.
 const eventCap = 4096
 
 // DeviceMemory simulates one accelerator's bounded on-chip parameter
@@ -141,7 +142,8 @@ type DeviceMemory struct {
 	used   int
 	tick   uint64
 	stats  MemStats
-	events []Event
+	events []Event // ring of up to eventCap; oldest at evHead once full
+	evHead int
 	met    *memMetrics
 }
 
@@ -278,15 +280,18 @@ func (d *DeviceMemory) evict(r *resident) {
 	d.record(Event{Kind: EvEvict, Model: r.id, Version: r.version, Bytes: r.bytes})
 }
 
-// record stamps the event with the registry-global sequence and appends it
-// to the bounded log. Caller holds d.mu.
+// record stamps the event with the registry-global sequence and adds it to
+// the bounded log, overwriting the oldest event once eventCap are held.
+// Caller holds d.mu.
 func (d *DeviceMemory) record(e Event) {
 	e.Seq = d.reg.seq.Add(1)
 	e.Device = d.device
-	if len(d.events) >= eventCap {
-		d.events = d.events[len(d.events)-eventCap+1:]
+	if len(d.events) < eventCap {
+		d.events = append(d.events, e)
+		return
 	}
-	d.events = append(d.events, e)
+	d.events[d.evHead] = e
+	d.evHead = (d.evHead + 1) % eventCap
 }
 
 // publishGauges refreshes the occupancy gauges. Caller holds d.mu.
@@ -322,6 +327,7 @@ func (d *DeviceMemory) Events() []Event {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]Event, len(d.events))
-	copy(out, d.events)
+	n := copy(out, d.events[d.evHead:])
+	copy(out[n:], d.events[:d.evHead])
 	return out
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // testModel compiles a small HDC classifier at the given dimension.
-func testModel(t *testing.T, dim int, seed uint64) *edgetpu.CompiledModel {
+func testModel(t testing.TB, dim int, seed uint64) *edgetpu.CompiledModel {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.SyntheticSpec(16, 60, 3, 7), 0)
 	if err != nil {
@@ -271,6 +271,74 @@ func TestPreloadSkipsBilling(t *testing.T) {
 	}
 	if st := mem.Stats(); st.Misses != 0 || st.SwapTime != 0 {
 		t.Fatalf("preload billed: %+v", st)
+	}
+}
+
+// TestEventLogRingWraps drives a device well past eventCap events: the log
+// keeps exactly the newest eventCap, oldest first, with no gap.
+func TestEventLogRingWraps(t *testing.T) {
+	g := New()
+	var entries []*Entry
+	for _, id := range []string{"a", "b", "c"} {
+		e, err := g.Register(id, testModel(t, 256, 1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	mem, err := g.NewDeviceMemory(0, entries[0].Footprint*2, EvictLRU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cycling three models through room for two misses and evicts on every
+	// acquire; the periodic repeat adds hits, so all three kinds wrap.
+	for i := 0; i < 3*eventCap+17; i++ {
+		mem.Acquire(entries[i%3])
+		if i%5 == 0 {
+			mem.Acquire(entries[i%3])
+		}
+	}
+	evs := mem.Events()
+	if len(evs) != eventCap {
+		t.Fatalf("retained %d events, want %d", len(evs), eventCap)
+	}
+	last := g.seq.Load()
+	if evs[len(evs)-1].Seq != last {
+		t.Fatalf("newest retained seq %d, want the latest %d", evs[len(evs)-1].Seq, last)
+	}
+	kinds := map[EventKind]int{}
+	for i, e := range evs {
+		kinds[e.Kind]++
+		if i > 0 && e.Seq != evs[i-1].Seq+1 {
+			t.Fatalf("event %d seq %d follows %d: not oldest-to-newest", i, e.Seq, evs[i-1].Seq)
+		}
+	}
+	if kinds[EvHit] == 0 || kinds[EvMiss] == 0 || kinds[EvEvict] == 0 {
+		t.Fatalf("retained kinds %v, want hits, misses and evictions", kinds)
+	}
+}
+
+// BenchmarkGetAcquireHit is the per-invoke registry cost of a TPU worker
+// serving a resident model: one lock-free Get and one Acquire hit. The
+// event log is a ring, so this is 0 B/op however long it runs.
+func BenchmarkGetAcquireHit(b *testing.B) {
+	g := New()
+	if _, err := g.Register("a", testModel(b, 256, 1), nil); err != nil {
+		b.Fatal(err)
+	}
+	e, _ := g.Get("a")
+	mem, err := g.NewDeviceMemory(0, e.Footprint*2, EvictLRU)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mem.Preload(e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, _ := g.Get("a")
+		if !mem.Acquire(e).Hit {
+			b.Fatal("resident model missed")
+		}
 	}
 }
 

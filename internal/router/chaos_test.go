@@ -44,24 +44,24 @@ func TestParseChaos(t *testing.T) {
 		spec        string
 		wantSegment string
 	}{
-		{"crash", "crash"},                // no node prefix
-		{"-1:crash", "-1:crash"},          // negative node
-		{"x:crash", "x:crash"},            // non-integer node
-		{"0:melt", "0:melt"},              // unknown mode
-		{"0:crash=2", "0:crash=2"},        // factor on a non-slow mode
-		{"0:slow=1", "0:slow=1"},          // factor must exceed 1
-		{"0:slow=0.5", "0:slow=0.5"},      // ditto
-		{"0:hang@1.5", "0:hang@1.5"},      // rate outside [0, 1]
-		{"0:crash@0.5", "0:crash@0.5"},    // crash is not rateable
-		{"0:crash,0:hang", "0:hang"},      // duplicate node
-		{"0:slow=x", "0:slow=x"},          // bad factor
-		{"0:hang@x", "0:hang@x"},          // bad rate
-		{"0:crash,", ""},                  // trailing comma leaves an empty segment
-		{",0:crash", ""},                  // leading comma too
-		{"0:crash,,1:hang", ""},           // and a doubled one
-		{"0:crash, ,1:hang", ""},          // whitespace-only segment
-		{"1:slow,1:slow=4", "1:slow=4"},   // duplicate via different forms
-		{"2:hang@0.5,0:melt", "0:melt"},   // later segment blamed, not the spec head
+		{"crash", "crash"},                     // no node prefix
+		{"-1:crash", "-1:crash"},               // negative node
+		{"x:crash", "x:crash"},                 // non-integer node
+		{"0:melt", "0:melt"},                   // unknown mode
+		{"0:crash=2", "0:crash=2"},             // factor on a non-slow mode
+		{"0:slow=1", "0:slow=1"},               // factor must exceed 1
+		{"0:slow=0.5", "0:slow=0.5"},           // ditto
+		{"0:hang@1.5", "0:hang@1.5"},           // rate outside [0, 1]
+		{"0:crash@0.5", "0:crash@0.5"},         // crash is not rateable
+		{"0:crash,0:hang", "0:hang"},           // duplicate node
+		{"0:slow=x", "0:slow=x"},               // bad factor
+		{"0:hang@x", "0:hang@x"},               // bad rate
+		{"0:crash,", ""},                       // trailing comma leaves an empty segment
+		{",0:crash", ""},                       // leading comma too
+		{"0:crash,,1:hang", ""},                // and a doubled one
+		{"0:crash, ,1:hang", ""},               // whitespace-only segment
+		{"1:slow,1:slow=4", "1:slow=4"},        // duplicate via different forms
+		{"2:hang@0.5,0:melt", "0:melt"},        // later segment blamed, not the spec head
 		{"0:crash,1:hang@-0.1", "1:hang@-0.1"}, // negative rate
 	}
 	for _, tc := range bad {

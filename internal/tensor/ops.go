@@ -114,6 +114,18 @@ func MatVec(dst []float32, a *Tensor, x []float32) {
 // matrix; dst must have length k. This is the encoding primitive
 // E = F · B with B laid out feature-major.
 func VecMat(dst []float32, x []float32, a *Tensor) {
+	vecMat(dst, x, a, false)
+}
+
+// VecMatTanh computes dst = tanh(x · a), bit-identical to VecMat followed
+// by TanhSlice, in one parallel pass: each worker applies tanh to its own
+// column block while the block is still in cache. This is the non-linear
+// encoding E = tanh(F · B).
+func VecMatTanh(dst []float32, x []float32, a *Tensor) {
+	vecMat(dst, x, a, true)
+}
+
+func vecMat(dst []float32, x []float32, a *Tensor, tanh bool) {
 	if a.DType != Float32 || len(a.Shape) != 2 {
 		panic("tensor: VecMat requires a 2-D float matrix")
 	}
@@ -129,29 +141,56 @@ func VecMat(dst []float32, x []float32, a *Tensor) {
 	// to the heap, and streaming callers (hdc.AdaptWith) need this path
 	// allocation-free.
 	if parallelWorkers(k, 1024) <= 1 {
-		vecMatBlock(dst, x, a.F32, m, k, 0, k)
+		vecMatBlock(dst, x, a.F32, m, k, 0, k, tanh)
 		return
 	}
 	ParallelFor(k, 1024, func(j0, j1 int) {
-		vecMatBlock(dst, x, a.F32, m, k, j0, j1)
+		vecMatBlock(dst, x, a.F32, m, k, j0, j1, tanh)
 	})
 }
 
-// vecMatBlock accumulates the [j0, j1) column block of dst = x · a.
-func vecMatBlock(dst, x, af []float32, m, k, j0, j1 int) {
+// vecMatBlock accumulates the [j0, j1) column block of dst = x · a, then
+// applies tanh to it when asked. It adds four non-zero features per pass
+// over the block; each output still takes its contributions one rounded
+// add at a time in ascending feature order, as a one-feature-per-pass loop
+// does, so the sums are bit-identical to it.
+func vecMatBlock(dst, x, af []float32, m, k, j0, j1 int, tanh bool) {
 	out := dst[j0:j1]
 	for j := range out {
 		out[j] = 0
 	}
-	for i := 0; i < m; i++ {
-		xv := x[i]
-		if xv == 0 {
-			continue
+	row := func(i int) []float32 { return af[i*k+j0 : i*k+j1 : i*k+j1] }
+	var idx [4]int
+	for i := 0; i < m; {
+		n := 0
+		for ; i < m && n < len(idx); i++ {
+			if x[i] != 0 {
+				idx[n] = i
+				n++
+			}
 		}
-		row := af[i*k+j0 : i*k+j1]
-		for j, v := range row {
-			out[j] += xv * v
+		if n < len(idx) {
+			for _, f := range idx[:n] {
+				xv := x[f]
+				for j, v := range row(f)[:len(out)] {
+					out[j] += xv * v
+				}
+			}
+			break
 		}
+		x0, x1, x2, x3 := x[idx[0]], x[idx[1]], x[idx[2]], x[idx[3]]
+		b0, b1, b2, b3 := row(idx[0]), row(idx[1]), row(idx[2]), row(idx[3])
+		b0, b1, b2, b3 = b0[:len(out)], b1[:len(out)], b2[:len(out)], b3[:len(out)]
+		for j := range out {
+			s := out[j] + x0*b0[j]
+			s += x1 * b1[j]
+			s += x2 * b2[j]
+			s += x3 * b3[j]
+			out[j] = s
+		}
+	}
+	if tanh {
+		tanhBlock(out)
 	}
 }
 
@@ -183,35 +222,6 @@ func Transpose(t *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Transpose unsupported dtype %v", t.DType))
 	}
 	return out
-}
-
-// Tanh applies the hyperbolic tangent element-wise in place on a float
-// tensor.
-func Tanh(t *Tensor) {
-	if t.DType != Float32 {
-		panic("tensor: Tanh requires a float tensor")
-	}
-	for i, v := range t.F32 {
-		t.F32[i] = float32(math.Tanh(float64(v)))
-	}
-}
-
-// TanhSlice applies tanh in place on a raw slice. Elements are independent,
-// so the parallel chunks produce bit-identical results to a serial pass.
-func TanhSlice(xs []float32) {
-	if parallelWorkers(len(xs), 4096) <= 1 {
-		tanhBlock(xs, 0, len(xs))
-		return
-	}
-	ParallelFor(len(xs), 4096, func(lo, hi int) {
-		tanhBlock(xs, lo, hi)
-	})
-}
-
-func tanhBlock(xs []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		xs[i] = float32(math.Tanh(float64(xs[i])))
-	}
 }
 
 // Axpy computes y += alpha * x over raw float slices of equal length.

@@ -241,7 +241,7 @@ func TestTransposeInt8KeepsQuant(t *testing.T) {
 
 func TestTanh(t *testing.T) {
 	a := FromFloat32([]float32{0, 1, -1, 10}, 4)
-	Tanh(a)
+	TanhSlice(a.F32)
 	if a.F32[0] != 0 {
 		t.Errorf("tanh(0) = %v", a.F32[0])
 	}
