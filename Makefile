@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet fmt-check tanh-exhaustive race fuzz-smoke chaos-smoke seu-smoke binhd-smoke tenant-smoke online-smoke bench bench-serve bench-binhd bench-e2e experiments examples clean
+.PHONY: all build test vet fmt-check doc-check tanh-exhaustive race fuzz-smoke chaos-smoke seu-smoke binhd-smoke tenant-smoke online-smoke bench bench-serve bench-binhd bench-e2e experiments examples clean
 
 all: vet test
 
@@ -16,11 +16,24 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# Fails, listing them, when a backticked repo path in the docs names
+# nothing in the tree. A `:line` or `#anchor` suffix is ignored; brace
+# globs (`a/{b,c}.go`) and package-qualified symbols
+# (`internal/pkg.Symbol`) are skipped.
+DOCS := README.md DESIGN.md EXPERIMENTS.md docs/*.md
+doc-check:
+	@out=$$(grep -oh '`\(internal\|examples\|cmd\|tools\|docs\|hdcbench\)/[^` ]*' $(DOCS) | tr -d '`' | sort -u | \
+		while read -r p; do \
+			case "$$p" in *'{'*|*.[A-Z]*) continue;; esac; \
+			[ -e "$${p%%[:#]*}" ] || echo "$$p"; \
+		done); \
+	if [ -n "$$out" ]; then echo "docs name missing paths:"; echo "$$out"; exit 1; fi
+
 # go vet runs every enabled-by-default analyzer; shadowcheck covers the
 # builtin-shadowing class (`cap := ...`) vet has no default analyzer for.
 # govulncheck scans for known-vulnerable dependency paths when the tool is
 # installed; it is gated so offline checkouts still vet cleanly.
-vet: fmt-check
+vet: fmt-check doc-check
 	$(GO) vet ./...
 	$(GO) run ./tools/shadowcheck .
 	@if command -v govulncheck >/dev/null 2>&1; then \
@@ -35,7 +48,7 @@ vet: fmt-check
 # its contract under the race detector too. The benchmark harness is a
 # nested module that `./...` cannot see, so it is vetted and tested on its
 # own: an internal API change must not break it silently.
-test: fmt-check
+test: fmt-check doc-check
 	$(GO) vet ./...
 	$(GO) run ./tools/shadowcheck .
 	$(GO) test ./...
@@ -152,8 +165,6 @@ examples:
 	$(GO) run ./examples/speech
 	$(GO) run ./examples/baggingsweep
 	$(GO) run ./examples/streaming
-	$(GO) run ./examples/genomics
-	$(GO) run ./examples/federated
 
 clean:
 	$(GO) clean ./...

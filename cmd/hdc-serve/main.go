@@ -13,7 +13,6 @@
 //	          [-faults "link=0.05"] [-fault-seed 1] [-seed 7]
 //	          [-scrub-interval 0] [-canary 0] [-canary-interval 25ms]
 //	          [-online "lr=0.5,window=64"] [-feedback-rate 1]
-//	          [-drift-window 0] [-drift-threshold 0]
 //	          [-listen :8080]
 //	          [-nodes 4] [-chaos "0:crash,1:slow=8"] [-hedge adaptive]
 //	          [-probe 25ms]
@@ -60,8 +59,8 @@
 // back through a bounded non-blocking queue, the trainer applies
 // confidence-weighted updates to a private model copy, and publishes
 // versioned snapshots through the registry for workers to hot-bind. A
-// drift detector (tunable via -drift-window / -drift-threshold or the spec
-// itself) triggers dimension regeneration on sustained accuracy collapse.
+// drift detector (tuned by the spec's window= and threshold= keys) triggers
+// dimension regeneration on sustained accuracy collapse.
 // The run report gains the trainer's accounting, and /snapshot carries the
 // hdc_online_* series. See docs/online.md.
 //
@@ -143,10 +142,8 @@ type options struct {
 	canaryCount    int
 	canaryInterval time.Duration
 
-	onlineSpec     string
-	feedbackRate   float64
-	driftWindow    int
-	driftThreshold float64
+	onlineSpec   string
+	feedbackRate float64
 
 	// Parsed by validate.
 	fleet   serve.FleetSpec // -fleet, or -devices TPU workers
@@ -321,20 +318,9 @@ func (o *options) validate() error {
 	if o.feedbackRate < 0 || o.feedbackRate > 1 {
 		return &flagError{"feedback-rate", fmt.Sprintf("must be in [0, 1], got %g", o.feedbackRate)}
 	}
-	if o.driftWindow < 0 || o.driftWindow == 1 {
-		return &flagError{"drift-window", fmt.Sprintf("must be 0 (spec default) or at least 2, got %d", o.driftWindow)}
-	}
-	if o.driftThreshold < 0 || o.driftThreshold >= 1 {
-		return &flagError{"drift-threshold", fmt.Sprintf("must be in [0, 1) (0 = spec default), got %g", o.driftThreshold)}
-	}
 	if o.onlineSpec == "" {
-		switch {
-		case o.feedbackRate != 0 && o.feedbackRate != 1:
+		if o.feedbackRate != 0 && o.feedbackRate != 1 {
 			return &flagError{"feedback-rate", "feedback sampling needs -online"}
-		case o.driftWindow != 0:
-			return &flagError{"drift-window", "drift tuning needs -online"}
-		case o.driftThreshold != 0:
-			return &flagError{"drift-threshold", "drift tuning needs -online"}
 		}
 		return nil
 	}
@@ -344,15 +330,6 @@ func (o *options) validate() error {
 	cfg, err := online.ParseSpec(o.onlineSpec)
 	if err != nil {
 		return &flagError{"online", err.Error()}
-	}
-	// -drift-window / -drift-threshold override the spec, then the merged
-	// config revalidates (an override can break a cross-field constraint,
-	// e.g. a buffer smaller than the window).
-	if o.driftWindow != 0 {
-		cfg.DriftWindow = o.driftWindow
-	}
-	if o.driftThreshold != 0 {
-		cfg.DriftThreshold = o.driftThreshold
 	}
 	// Published snapshots must compile at the batch capacity the fleet
 	// serves at, or workers would bind a model they cannot batch into.
@@ -437,8 +414,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.canaryInterval, "canary-interval", 25*time.Millisecond, "canary check interval (needs -canary > 0)")
 	fs.StringVar(&o.onlineSpec, "online", "", "online learning: \"on\" for defaults or \"lr=0.5,window=64,...\" (see docs/online.md)")
 	fs.Float64Var(&o.feedbackRate, "feedback-rate", 1, "fraction of completed requests reporting ground-truth feedback (needs -online)")
-	fs.IntVar(&o.driftWindow, "drift-window", 0, "drift-detector sample window override (0 = spec default; needs -online)")
-	fs.Float64Var(&o.driftThreshold, "drift-threshold", 0, "drift-detector accuracy-gap override (0 = spec default; needs -online)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

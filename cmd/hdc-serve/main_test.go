@@ -87,13 +87,9 @@ func TestValidateRejections(t *testing.T) {
 		{"feedback rate above one", func(o *options) { o.onlineSpec = "on"; o.feedbackRate = 1.5 }, "feedback-rate"},
 		{"feedback rate below zero", func(o *options) { o.onlineSpec = "on"; o.feedbackRate = -0.1 }, "feedback-rate"},
 		{"feedback sampling needs online", func(o *options) { o.feedbackRate = 0.5 }, "feedback-rate"},
-		{"drift window needs online", func(o *options) { o.driftWindow = 64 }, "drift-window"},
-		{"drift window of one", func(o *options) { o.onlineSpec = "on"; o.driftWindow = 1 }, "drift-window"},
-		{"drift threshold needs online", func(o *options) { o.driftThreshold = 0.2 }, "drift-threshold"},
-		{"drift threshold at one", func(o *options) { o.onlineSpec = "on"; o.driftThreshold = 1 }, "drift-threshold"},
 		{"online behind router", func(o *options) { o.onlineSpec = "on"; o.nodes = 4 }, "online"},
 		{"online spec batch conflict", func(o *options) { o.onlineSpec = "batch=4" }, "online"},
-		{"online override breaks buffer", func(o *options) { o.onlineSpec = "buffer=64"; o.driftWindow = 128 }, "online"},
+		{"online override breaks buffer", func(o *options) { o.onlineSpec = "buffer=64,window=128" }, "online"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -236,15 +232,13 @@ func TestValidateParsesTenancyFlags(t *testing.T) {
 }
 
 // TestValidateParsesOnlineFlags checks the happy path for -online and its
-// companion flags: the spec parses into a Config, the -drift-window and
-// -drift-threshold overrides win over spec values, and the published
-// snapshot batch is forced to the serving -batch.
+// companion flag: the spec parses into a Config, its window= and
+// threshold= keys tune the drift detector, and the published snapshot
+// batch is forced to the serving -batch.
 func TestValidateParsesOnlineFlags(t *testing.T) {
 	o := validOptions()
-	o.onlineSpec = "lr=0.5,window=16,every=8,bin"
+	o.onlineSpec = "lr=0.5,window=32,threshold=0.25,every=8,bin"
 	o.feedbackRate = 0.25
-	o.driftWindow = 32
-	o.driftThreshold = 0.25
 	if err := o.validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
@@ -256,7 +250,7 @@ func TestValidateParsesOnlineFlags(t *testing.T) {
 		t.Fatalf("spec values lost: %+v", cfg)
 	}
 	if cfg.DriftWindow != 32 || cfg.DriftThreshold != 0.25 {
-		t.Fatalf("overrides did not win over spec: window %d threshold %g",
+		t.Fatalf("drift keys lost: window %d threshold %g",
 			cfg.DriftWindow, cfg.DriftThreshold)
 	}
 	if cfg.Batch != o.batch {

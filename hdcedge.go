@@ -30,11 +30,9 @@ import (
 	"hdcedge/internal/dataset"
 	"hdcedge/internal/edgetpu"
 	"hdcedge/internal/experiments"
-	"hdcedge/internal/federated"
 	"hdcedge/internal/hdc"
 	"hdcedge/internal/pipeline"
 	"hdcedge/internal/rng"
-	"hdcedge/internal/tensor"
 )
 
 // --- HDC core ---
@@ -219,79 +217,3 @@ func TrainOnline(train *Dataset, dim, passes int, cfg OnlineConfig, nonlinear bo
 // BipolarModel is the 1-bit packed deployment form of a trained model;
 // see Model.Binarize.
 type BipolarModel = hdc.BipolarModel
-
-// Regressor is an HDC regression model (RegHD-style, reference [28]).
-type Regressor = hdc.Regressor
-
-// RegressionConfig controls HDC regression training.
-type RegressionConfig = hdc.RegressionConfig
-
-// TrainRegressor fits an HDC regressor to (x, y) pairs.
-func TrainRegressor(x *Tensor, y []float32, cfg RegressionConfig) (*Regressor, *hdc.RegressionStats, error) {
-	return hdc.TrainRegressor(x, y, cfg)
-}
-
-// ClusterConfig controls HD k-means clustering (DUAL-style, reference
-// [30]).
-type ClusterConfig = hdc.ClusterConfig
-
-// ClusterResult holds a clustering outcome.
-type ClusterResult = hdc.ClusterResult
-
-// Cluster runs HD k-means over the rows of x.
-func Cluster(x *Tensor, cfg ClusterConfig) (*ClusterResult, error) {
-	return hdc.Cluster(x, cfg)
-}
-
-// SequenceEncoder encodes discrete symbol sequences with permutation
-// binding (GenieHD-style, references [26], [27]).
-type SequenceEncoder = hdc.SequenceEncoder
-
-// SequenceMatcher is an associative reference-library search.
-type SequenceMatcher = hdc.SequenceMatcher
-
-// NewSequenceEncoder draws an item memory over `alphabet` symbols with
-// n-gram windows of length n.
-func NewSequenceEncoder(alphabet, dim, n int, r *RNG) *SequenceEncoder {
-	return hdc.NewSequenceEncoder(alphabet, dim, n, r)
-}
-
-// NewSequenceMatcher encodes a reference library for Match queries.
-func NewSequenceMatcher(enc *SequenceEncoder, refs [][]int) *SequenceMatcher {
-	return hdc.NewSequenceMatcher(enc, refs)
-}
-
-// Tensor is the dense array type shared across the framework.
-type Tensor = tensor.Tensor
-
-// FederatedConfig controls collaborative training across edge nodes
-// (reference [21]'s deployment).
-type FederatedConfig = federated.Config
-
-// FederatedResult is a federated run's outcome.
-type FederatedResult = federated.Result
-
-// DefaultFederatedConfig returns an 8-node, 4-round setup.
-func DefaultFederatedConfig() FederatedConfig { return federated.DefaultConfig() }
-
-// FederatedTrain runs federated HDC training over the shards.
-func FederatedTrain(shards []*Dataset, eval *Dataset, cfg FederatedConfig) (*FederatedResult, error) {
-	return federated.Train(shards, eval, cfg)
-}
-
-// ShardIID deals a dataset round-robin across nodes.
-func ShardIID(ds *Dataset, nodes int, r *RNG) []*Dataset {
-	return federated.ShardIID(ds, nodes, r)
-}
-
-// ShardByLabel deals contiguous label runs across nodes (non-IID).
-func ShardByLabel(ds *Dataset, nodes int) []*Dataset {
-	return federated.ShardByLabel(ds, nodes)
-}
-
-// tensorNew allocates a float32 Tensor; a convenience for facade users
-// building design matrices by hand.
-func tensorNew(rows, cols int) *Tensor { return tensor.New(tensor.Float32, rows, cols) }
-
-// NewFloatTensor allocates a [rows, cols] float32 tensor.
-func NewFloatTensor(rows, cols int) *Tensor { return tensorNew(rows, cols) }

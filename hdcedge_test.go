@@ -120,79 +120,3 @@ func TestFacadePlatforms(t *testing.T) {
 		t.Fatal("CPU platforms must not carry accelerators")
 	}
 }
-
-func TestFacadeApplications(t *testing.T) {
-	// Regression.
-	x, y := regressionToy()
-	reg, _, err := TrainRegressor(x, y, RegressionConfig{Dim: 512, Epochs: 8, Nonlinear: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mse := reg.MSE(x, y); mse > 0.2 {
-		t.Fatalf("facade regression MSE %.4f", mse)
-	}
-	// Clustering.
-	ds, err := Generate(SyntheticSpec(16, 600, 3, 9), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Cluster(ds.X, ClusterConfig{K: 6, Dim: 512, Nonlinear: true, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := res.Purity(ds.Y, ds.Classes); p < 0.5 {
-		t.Fatalf("facade cluster purity %.3f", p)
-	}
-	// Sequences.
-	enc := NewSequenceEncoder(4, 2048, 4, NewRNG(3))
-	refs := [][]int{seqOf(200, 4, 10), seqOf(200, 4, 11)}
-	m := NewSequenceMatcher(enc, refs)
-	if idx, _ := m.Match(refs[1]); idx != 1 {
-		t.Fatalf("facade matcher picked %d", idx)
-	}
-}
-
-func TestFacadeFederated(t *testing.T) {
-	ds, err := Generate(SyntheticSpec(24, 1600, 4, 12), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := ds.Split(0.25, NewRNG(13))
-	cfg := DefaultFederatedConfig()
-	cfg.Dim = 768
-	shards := ShardIID(train, cfg.Nodes, NewRNG(14))
-	res, err := FederatedTrain(shards, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := res.RoundAccuracy[len(res.RoundAccuracy)-1]; acc < 0.7 {
-		t.Fatalf("facade federated accuracy %.3f", acc)
-	}
-	if len(ShardByLabel(train, 4)) != 4 {
-		t.Fatal("ShardByLabel count")
-	}
-}
-
-func regressionToy() (*Tensor, []float32) {
-	r := NewRNG(7)
-	const n = 600
-	x := tensorNew(n, 3)
-	y := make([]float32, n)
-	for i := 0; i < n; i++ {
-		row := x.F32[i*3 : (i+1)*3]
-		for j := range row {
-			row[j] = float32(r.Float64()*2 - 1)
-		}
-		y[i] = row[0]*row[1] + 0.5*row[2]
-	}
-	return x, y
-}
-
-func seqOf(length, alphabet int, seed uint64) []int {
-	r := NewRNG(seed)
-	s := make([]int, length)
-	for i := range s {
-		s[i] = r.Intn(alphabet)
-	}
-	return s
-}

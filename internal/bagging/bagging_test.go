@@ -2,8 +2,6 @@ package bagging
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"hdcedge/internal/dataset"
@@ -357,52 +355,5 @@ func TestSampleIdxRecorded(t *testing.T) {
 				t.Fatalf("sub-model %d index %d out of range", m, i)
 			}
 		}
-	}
-}
-
-func TestEnsembleSaveLoad(t *testing.T) {
-	train, test := synthSplit(t, 63)
-	cfg := smallConfig()
-	ens, _, err := Train(train, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ensemble.hde")
-	if err := ens.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadEnsemble(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Config != ens.Config {
-		t.Fatalf("config changed: %+v vs %+v", got.Config, ens.Config)
-	}
-	if len(got.Subs) != len(ens.Subs) {
-		t.Fatalf("%d sub-models", len(got.Subs))
-	}
-	// The reloaded ensemble must fuse to an identical model.
-	a := ens.Fuse()
-	b := got.Fuse()
-	for i := 0; i < min(100, test.Samples()); i++ {
-		if a.Predict(test.X.Row(i)) != b.Predict(test.X.Row(i)) {
-			t.Fatalf("reloaded ensemble diverges at %d", i)
-		}
-	}
-	// OOB evaluation must keep working (indices survived).
-	oobA, nA := ens.OOBAccuracy(train)
-	oobB, nB := got.OOBAccuracy(train)
-	if nA != nB || oobA != oobB {
-		t.Fatalf("OOB changed: %.3f/%d vs %.3f/%d", oobA, nA, oobB, nB)
-	}
-}
-
-func TestLoadEnsembleRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "junk.hde")
-	if err := os.WriteFile(path, []byte("not an ensemble"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadEnsemble(path); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

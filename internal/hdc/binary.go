@@ -188,37 +188,25 @@ func (bm *BipolarModel) Save(path string) error {
 		f.Close()
 		return fmt.Errorf("hdc: writing %s: %w", path, err)
 	}
-	var footer [crcFooterLen]byte
-	copy(footer[:4], crcMagic)
-	binary.LittleEndian.PutUint32(footer[4:], h.Sum32())
-	if _, err := f.Write(footer[:]); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return sealAndClose(f, h.Sum32())
 }
 
 // bipolarMagic marks a BipolarModel container.
 const bipolarMagic = "HDB1"
 
-// LoadBipolarModel reads a model written by BipolarModel.Save. A trailing
-// "HCRC" footer is verified against the payload (mismatch yields
-// *ChecksumError) and stripped; footerless files from before the checksum
-// existed are parsed as-is. The header dims bound every allocation — the
-// payload must hold exactly n·d base floats plus k·ceil(d/64) packed
-// words, and any bytes left over after the model are an error.
+// LoadBipolarModel reads a model written by BipolarModel.Save. The "HCRC"
+// footer must be present and match the payload (see unseal). The header
+// dims bound every allocation — the payload must hold exactly n·d base
+// floats plus k·ceil(d/64) packed words, and any bytes left over after the
+// model are an error.
 func LoadBipolarModel(path string) (*BipolarModel, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	payload := raw
-	if len(raw) >= crcFooterLen && string(raw[len(raw)-crcFooterLen:len(raw)-4]) == crcMagic {
-		want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-		payload = raw[:len(raw)-crcFooterLen]
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return nil, &ChecksumError{Path: path, Want: want, Got: got}
-		}
+	payload, err := unseal(path, raw)
+	if err != nil {
+		return nil, err
 	}
 	src := bytes.NewReader(payload)
 	r := bufio.NewReader(src)

@@ -175,8 +175,8 @@ func trainedBipolar(t testing.TB, dim int) *BipolarModel {
 
 // TestBipolarSaveFooter covers the integrity seal end to end: a saved file
 // carries the "HCRC" footer, corruption anywhere in the payload or footer
-// is a *ChecksumError, a legacy footerless blob still loads, and trailing
-// bytes after either form are rejected.
+// is a *ChecksumError, a file without the footer is rejected even when its
+// payload is intact, and trailing bytes are rejected.
 func TestBipolarSaveFooter(t *testing.T) {
 	bm := trainedBipolar(t, 192)
 	dir := t.TempDir()
@@ -199,8 +199,11 @@ func TestBipolarSaveFooter(t *testing.T) {
 		wantErr bool
 	}{
 		{"intact", func(b []byte) []byte { return b }, false, false},
-		{"legacy-footerless", func(b []byte) []byte { return b[:len(b)-8] }, false, false},
+		{"legacy-footerless", func(b []byte) []byte { return b[:len(b)-8] }, false, true},
 		{"payload-flip", func(b []byte) []byte { b[9] ^= 0x40; return b }, true, true},
+		// A flipped class bit under a cut footer: the payload still parses,
+		// so only the missing footer can give it away.
+		{"word-flip-footerless", func(b []byte) []byte { b[len(b)-9] ^= 0x01; return b[:len(b)-8] }, false, true},
 		{"footer-flip", func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, true, true},
 		{"trailing-after-footer", func(b []byte) []byte { return append(b, 0xEE) }, false, true},
 		{"trailing-after-legacy", func(b []byte) []byte { return append(b[:len(b)-8], 0xEE, 0xEE) }, false, true},
@@ -216,7 +219,7 @@ func TestBipolarSaveFooter(t *testing.T) {
 			got, err := LoadBipolarModel(path)
 			if tc.wantErr {
 				if err == nil {
-					t.Fatal("corrupted/padded file accepted")
+					t.Fatal("corrupted, padded or footerless file accepted")
 				}
 				var ce *ChecksumError
 				if tc.wantCRC && !errors.As(err, &ce) {
@@ -253,10 +256,11 @@ func TestLoadBipolarRejectsLengthMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := raw[:len(raw)-8] // drop the footer so only the length check can fire
+	payload := raw[:len(raw)-8]
 	for _, cut := range []int{1, 7, 8, 64} {
+		// Reseal the cut payload so only the length check can fire.
 		bad := filepath.Join(t.TempDir(), "cut.hdb")
-		if err := os.WriteFile(bad, legacy[:len(legacy)-cut], 0o644); err != nil {
+		if err := os.WriteFile(bad, withFooter(payload[:len(payload)-cut]), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadBipolarModel(bad); err == nil {
@@ -265,12 +269,12 @@ func TestLoadBipolarRejectsLengthMismatch(t *testing.T) {
 	}
 	// A header that advertises a huge model over a tiny payload must be
 	// rejected by the length check, not attempted.
-	head := append([]byte(nil), legacy[:17]...)
+	head := append([]byte(nil), payload[:17]...)
 	binary.LittleEndian.PutUint32(head[5:9], 1<<20)   // n
 	binary.LittleEndian.PutUint32(head[9:13], 1<<24)  // d
 	binary.LittleEndian.PutUint32(head[13:17], 1<<16) // k
 	huge := filepath.Join(t.TempDir(), "huge.hdb")
-	if err := os.WriteFile(huge, head, 0o644); err != nil {
+	if err := os.WriteFile(huge, withFooter(head), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadBipolarModel(huge); err == nil {
@@ -358,8 +362,8 @@ func TestBipolarPackedVsFloatPredict(t *testing.T) {
 }
 
 // FuzzLoadBipolarModel: arbitrary bytes must either parse into a model
-// that saves and reloads identically, or fail cleanly — never panic or
-// over-allocate on a lying header.
+// that carries its footer and saves and reloads identically, or fail
+// cleanly — never panic or over-allocate on a lying header.
 func FuzzLoadBipolarModel(f *testing.F) {
 	dir := f.TempDir()
 	seedModel := func(dim int) []byte {
@@ -380,7 +384,7 @@ func FuzzLoadBipolarModel(f *testing.F) {
 	}
 	sealed := seedModel(96)
 	f.Add(sealed)
-	f.Add(sealed[:len(sealed)-8]) // legacy footerless
+	f.Add(sealed[:len(sealed)-8]) // footerless: must be rejected
 	f.Add(sealed[:9])
 	f.Add([]byte("HDB1"))
 	f.Add([]byte{})
@@ -392,6 +396,9 @@ func FuzzLoadBipolarModel(f *testing.F) {
 		bm, err := LoadBipolarModel(path)
 		if err != nil {
 			return
+		}
+		if len(data) < crcFooterLen || string(data[len(data)-crcFooterLen:len(data)-4]) != crcMagic {
+			t.Fatal("input without the integrity footer accepted")
 		}
 		// Anything that parses must re-save and reload bit-identically.
 		again := filepath.Join(t.TempDir(), "again.hdb")

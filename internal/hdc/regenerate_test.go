@@ -1,158 +1,11 @@
 package hdc
 
 import (
-	"math"
 	"testing"
 
 	"hdcedge/internal/rng"
 	"hdcedge/internal/tensor"
 )
-
-// --- regression (RegHD style) ---
-
-// regressionProblem builds a smooth non-linear target over 4 features.
-func regressionProblem(seed uint64, samples int) (*tensor.Tensor, []float32) {
-	r := rng.New(seed)
-	x := tensor.New(tensor.Float32, samples, 4)
-	r.FillUniform(x.F32, -1, 1)
-	y := make([]float32, samples)
-	for i := 0; i < samples; i++ {
-		row := x.Row(i)
-		y[i] = float32(math.Sin(float64(2*row[0]))) + row[1]*row[2] - 0.5*row[3]
-	}
-	return x, y
-}
-
-func TestRegressorFitsNonlinearTarget(t *testing.T) {
-	x, y := regressionProblem(1, 2000)
-	xt, yt := regressionProblem(2, 500)
-	reg, stats, err := TrainRegressor(x, y, RegressionConfig{
-		Dim: 2048, Epochs: 15, Nonlinear: true, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Target variance is ~0.8; a useful fit must be well below it.
-	mse := reg.MSE(xt, yt)
-	if mse > 0.12 {
-		t.Fatalf("test MSE %.4f too high", mse)
-	}
-	// Training error must decrease over epochs.
-	if stats.MSE[len(stats.MSE)-1] >= stats.MSE[0] {
-		t.Fatalf("training MSE did not decrease: %.4f -> %.4f", stats.MSE[0], stats.MSE[len(stats.MSE)-1])
-	}
-}
-
-func TestRegressorNonlinearBeatsLinear(t *testing.T) {
-	// The target has sin and product terms; the linear encoder cannot
-	// represent them as well.
-	x, y := regressionProblem(4, 2000)
-	xt, yt := regressionProblem(5, 500)
-	nl, _, err := TrainRegressor(x, y, RegressionConfig{Dim: 2048, Epochs: 15, Nonlinear: true, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lin, _, err := TrainRegressor(x, y, RegressionConfig{Dim: 2048, Epochs: 15, Nonlinear: false, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nl.MSE(xt, yt) > lin.MSE(xt, yt) {
-		t.Fatalf("nonlinear MSE %.4f worse than linear %.4f", nl.MSE(xt, yt), lin.MSE(xt, yt))
-	}
-}
-
-func TestTrainRegressorValidation(t *testing.T) {
-	x := tensor.New(tensor.Float32, 4, 2)
-	if _, _, err := TrainRegressor(x, []float32{1, 2}, RegressionConfig{Dim: 64}); err == nil {
-		t.Fatal("target length mismatch accepted")
-	}
-	if _, _, err := TrainRegressor(nil, nil, RegressionConfig{}); err == nil {
-		t.Fatal("nil design matrix accepted")
-	}
-}
-
-func TestRegressorPredictMatchesMSEPath(t *testing.T) {
-	x, y := regressionProblem(7, 400)
-	reg, _, err := TrainRegressor(x, y, RegressionConfig{Dim: 512, Epochs: 5, Nonlinear: true, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MSE computed via batch path must equal the per-sample Predict path.
-	var sse float64
-	for i := 0; i < x.Shape[0]; i++ {
-		diff := float64(y[i] - reg.Predict(x.Row(i)))
-		sse += diff * diff
-	}
-	batch := reg.MSE(x, y)
-	if math.Abs(batch-sse/float64(x.Shape[0])) > 1e-6 {
-		t.Fatalf("batch MSE %.6f vs per-sample %.6f", batch, sse/float64(x.Shape[0]))
-	}
-}
-
-// --- clustering (DUAL style) ---
-
-func TestClusterRecoversStructure(t *testing.T) {
-	// The generator gives each class ModesPerClass=2 latent modes, so
-	// clustering at mode granularity (K = classes × 2) should produce
-	// clusters that are each dominated by a single class.
-	train, _ := synthTrainTest(t, 24, 1600, 4, 900)
-	res, err := Cluster(train.X, ClusterConfig{K: 8, Dim: 2048, Nonlinear: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	purity := res.Purity(train.Y, train.Classes)
-	if purity < 0.7 {
-		t.Fatalf("cluster purity %.3f; chance ~0.25", purity)
-	}
-	if res.Iterations < 1 || res.Iterations > 32 {
-		t.Fatalf("iterations %d", res.Iterations)
-	}
-}
-
-func TestClusterDeterministic(t *testing.T) {
-	train, _ := synthTrainTest(t, 16, 600, 3, 901)
-	a, err := Cluster(train.X, ClusterConfig{K: 3, Dim: 512, Nonlinear: true, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Cluster(train.X, ClusterConfig{K: 3, Dim: 512, Nonlinear: true, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Assignments {
-		if a.Assignments[i] != b.Assignments[i] {
-			t.Fatal("same seed clustered differently")
-		}
-	}
-}
-
-func TestClusterValidation(t *testing.T) {
-	train, _ := synthTrainTest(t, 8, 100, 2, 902)
-	if _, err := Cluster(train.X, ClusterConfig{K: 1, Dim: 64}); err == nil {
-		t.Fatal("K=1 accepted")
-	}
-	if _, err := Cluster(nil, ClusterConfig{K: 2}); err == nil {
-		t.Fatal("nil matrix accepted")
-	}
-	if _, err := Cluster(train.X, ClusterConfig{K: 1000, Dim: 64}); err == nil {
-		t.Fatal("K > samples accepted")
-	}
-}
-
-func TestClusterAssignmentsInRange(t *testing.T) {
-	train, _ := synthTrainTest(t, 12, 300, 3, 903)
-	res, err := Cluster(train.X, ClusterConfig{K: 5, Dim: 256, Nonlinear: true, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range res.Assignments {
-		if a < 0 || a >= 5 {
-			t.Fatalf("assignment %d out of range", a)
-		}
-	}
-}
-
-// --- regeneration ---
 
 func TestRegenerateCountsAndZeroes(t *testing.T) {
 	train, _ := synthTrainTest(t, 20, 800, 4, 904)

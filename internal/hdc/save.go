@@ -19,8 +19,8 @@ import (
 //
 // The footer is an integrity seal over the whole file, mirroring the
 // tflite container scheme: LoadModel verifies it and rejects corrupt
-// bytes with *ChecksumError. Files written before the footer existed
-// (no trailing "HCRC" marker) are still accepted.
+// bytes with *ChecksumError. A file without the footer is rejected too,
+// since a cut-off footer would otherwise hide any corruption before it.
 
 const (
 	modelMagic = "HDM1"
@@ -58,14 +58,35 @@ func (m *Model) Save(path string) error {
 		f.Close()
 		return err
 	}
+	return sealAndClose(f, h.Sum32())
+}
+
+// sealAndClose appends the "HCRC" footer recording sum, the CRC32 of
+// everything written to f so far, and closes f.
+func sealAndClose(f *os.File, sum uint32) error {
 	var footer [crcFooterLen]byte
 	copy(footer[:4], crcMagic)
-	binary.LittleEndian.PutUint32(footer[4:], h.Sum32())
+	binary.LittleEndian.PutUint32(footer[4:], sum)
 	if _, err := f.Write(footer[:]); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// unseal verifies raw's "HCRC" footer against the bytes before it and
+// returns those bytes. A file without the footer is an error, and a
+// mismatch is a *ChecksumError.
+func unseal(path string, raw []byte) ([]byte, error) {
+	if len(raw) < crcFooterLen || string(raw[len(raw)-crcFooterLen:len(raw)-4]) != crcMagic {
+		return nil, fmt.Errorf("hdc: %s is missing its %q integrity footer", path, crcMagic)
+	}
+	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
+	payload := raw[:len(raw)-crcFooterLen]
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return nil, &ChecksumError{Path: path, Want: want, Got: got}
+	}
+	return payload, nil
 }
 
 func (m *Model) writeTo(w *bufio.Writer) error {
@@ -95,22 +116,17 @@ func (m *Model) writeTo(w *bufio.Writer) error {
 	return nil
 }
 
-// LoadModel reads a model written by Save. A trailing "HCRC" footer is
-// verified against the payload (mismatch yields *ChecksumError) and
-// stripped; footerless files from before the checksum existed are parsed
-// as-is. Any other bytes left over after the model is an error.
+// LoadModel reads a model written by Save. The "HCRC" footer must be
+// present and match the payload (see unseal); any bytes left over after
+// the model are an error.
 func LoadModel(path string) (*Model, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	payload := raw
-	if len(raw) >= crcFooterLen && string(raw[len(raw)-crcFooterLen:len(raw)-4]) == crcMagic {
-		want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-		payload = raw[:len(raw)-crcFooterLen]
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return nil, &ChecksumError{Path: path, Want: want, Got: got}
-		}
+	payload, err := unseal(path, raw)
+	if err != nil {
+		return nil, err
 	}
 	src := bytes.NewReader(payload)
 	r := bufio.NewReader(src)

@@ -1,9 +1,12 @@
 package hdc
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hdcedge/internal/tensor"
@@ -87,10 +90,13 @@ func TestLoadModelDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadModelAcceptsLegacyBlob strips the footer, reproducing a file
-// written before the checksum existed; it must still load.
-func TestLoadModelAcceptsLegacyBlob(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "m.hdm")
+// TestLoadModelRejectsStrippedFooter cuts the 8-byte footer off a sealed
+// file. Without the footer nothing can vouch for the payload, so the file
+// is rejected whether its payload is intact or carries a flipped class
+// bit; otherwise cutting the footer would hide any corruption before it.
+func TestLoadModelRejectsStrippedFooter(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.hdm")
 	if err := saveTestModel().Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -98,21 +104,23 @@ func TestLoadModelAcceptsLegacyBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := filepath.Join(t.TempDir(), "legacy.hdm")
-	if err := os.WriteFile(legacy, raw[:len(raw)-crcFooterLen], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadModel(legacy)
-	if err != nil {
-		t.Fatalf("legacy footerless model rejected: %v", err)
-	}
-	if got.Dim() != 16 || got.K() != 3 {
-		t.Fatalf("legacy load lost shape: %+v", got)
+	flipped := append([]byte(nil), raw...)
+	flipped[len(flipped)-crcFooterLen-1] ^= 0x01 // last class float
+	for _, c := range []struct {
+		name   string
+		sealed []byte
+	}{{"intact", raw}, {"class-flip", flipped}} {
+		stripped := filepath.Join(dir, c.name+".hdm")
+		if err := os.WriteFile(stripped, c.sealed[:len(c.sealed)-crcFooterLen], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModel(stripped); err == nil || !strings.Contains(err.Error(), "integrity footer") {
+			t.Errorf("%s payload without footer: LoadModel returned %v, want a missing-footer error", c.name, err)
+		}
 	}
 
-	// A corrupt legacy blob is undetectable by checksum — but corrupting a
-	// sealed file's *footer* must still fail (the payload no longer matches).
-	sealedBad := filepath.Join(t.TempDir(), "badfooter.hdm")
+	// Corrupting a sealed file's footer fails the checksum.
+	sealedBad := filepath.Join(dir, "badfooter.hdm")
 	raw2 := append([]byte(nil), raw...)
 	raw2[len(raw2)-1] ^= 0xFF
 	if err := os.WriteFile(sealedBad, raw2, 0o644); err != nil {
@@ -124,8 +132,18 @@ func TestLoadModelAcceptsLegacyBlob(t *testing.T) {
 	}
 }
 
+// withFooter appends a valid "HCRC" footer to payload, so a test can reach
+// the parser's own checks with bytes the checksum does not reject.
+func withFooter(payload []byte) []byte {
+	var footer [crcFooterLen]byte
+	copy(footer[:4], crcMagic)
+	binary.LittleEndian.PutUint32(footer[4:], crc32.ChecksumIEEE(payload))
+	return append(append([]byte(nil), payload...), footer[:]...)
+}
+
 // TestLoadModelRejectsTrailingGarbage: extra bytes between the model and
-// the footer (or after a legacy blob) are an error, not silently ignored.
+// the footer are an error even when the footer matches them, and so is a
+// truncated model under a matching footer.
 func TestLoadModelRejectsTrailingGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.hdm")
 	if err := saveTestModel().Save(path); err != nil {
@@ -135,9 +153,9 @@ func TestLoadModelRejectsTrailingGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := raw[:len(raw)-crcFooterLen]
+	payload := raw[:len(raw)-crcFooterLen]
 	padded := filepath.Join(t.TempDir(), "padded.hdm")
-	if err := os.WriteFile(padded, append(append([]byte(nil), legacy...), 0xAB, 0xCD), 0o644); err != nil {
+	if err := os.WriteFile(padded, withFooter(append(append([]byte(nil), payload...), 0xAB, 0xCD)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadModel(padded); err == nil {
@@ -145,7 +163,7 @@ func TestLoadModelRejectsTrailingGarbage(t *testing.T) {
 	}
 
 	truncated := filepath.Join(t.TempDir(), "trunc.hdm")
-	if err := os.WriteFile(truncated, legacy[:len(legacy)-3], 0o644); err != nil {
+	if err := os.WriteFile(truncated, withFooter(payload[:len(payload)-3]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadModel(truncated); err == nil {

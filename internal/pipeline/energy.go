@@ -53,16 +53,6 @@ func CPUTrainingEnergy(p Platform, w Workload) (EnergyBreakdown, error) {
 	return hostOnlyEnergy(p, b.Total()), nil
 }
 
-// TPUTrainingEnergy models co-design training energy: encoding runs on the
-// accelerator, update and model generation on the host.
-func TPUTrainingEnergy(p Platform, w Workload) (EnergyBreakdown, error) {
-	b, err := TPUTraining(p, w)
-	if err != nil {
-		return EnergyBreakdown{}, err
-	}
-	return splitEnergy(p, b.Encode, b.Update+b.ModelGen)
-}
-
 // BaggingTrainingEnergy models the full framework's training energy.
 func BaggingTrainingEnergy(p Platform, w Workload, cfg bagging.Config) (EnergyBreakdown, error) {
 	b, err := BaggingTraining(p, w, cfg, nil)

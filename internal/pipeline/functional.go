@@ -168,54 +168,3 @@ func inferOnDevice(p Platform, model *hdc.Model, test, calib *dataset.Dataset, b
 	}
 	return preds, total, prof, nil
 }
-
-// TrainOnDeviceStreaming interleaves the co-design loop at batch
-// granularity: each batch is encoded on the accelerator and immediately
-// applied to the class hypervectors on the host (single pass, in stream
-// order), then optional refinement epochs run over the retained
-// encodings. It models the deployment where training data arrives as a
-// stream rather than a stored dataset.
-func TrainOnDeviceStreaming(p Platform, train *dataset.Dataset, cfg hdc.TrainConfig, refineEpochs int) (*FunctionalResult, error) {
-	if !p.HasAccel() {
-		return nil, fmt.Errorf("pipeline: platform %s has no accelerator", p.Name)
-	}
-	if train == nil || train.Samples() == 0 {
-		return nil, fmt.Errorf("pipeline: empty training set")
-	}
-	if cfg.Dim == 0 {
-		cfg.Dim = hdc.DefaultDim
-	}
-	if cfg.LearningRate == 0 {
-		cfg.LearningRate = 1
-	}
-	r := rng.New(cfg.Seed)
-	enc := hdc.NewEncoder(train.Features(), cfg.Dim, cfg.Nonlinear, r.Split())
-	encoded, timing, err := EncodeOnDevice(p, enc, train, DefaultBatch)
-	if err != nil {
-		return nil, err
-	}
-	model := hdc.NewModel(enc, train.Classes)
-	stats := &hdc.TrainStats{}
-	// Streaming pass: apply each sample once, in arrival order.
-	updates := 0
-	for i := 0; i < train.Samples(); i++ {
-		e := encoded.Row(i)
-		if pred := model.ClassifyEncoded(e); pred != train.Y[i] {
-			model.Bundle(train.Y[i], cfg.LearningRate, e)
-			model.Detach(pred, cfg.LearningRate, e)
-			updates++
-		}
-	}
-	stats.Epochs = append(stats.Epochs, hdc.EpochStats{
-		Epoch: 0, Updates: updates,
-		TrainAccuracy: 1 - float64(updates)/float64(train.Samples()),
-	})
-	if refineEpochs > 0 {
-		more, err := model.FitEncoded(encoded, train.Y, nil, nil, refineEpochs, cfg.LearningRate, r.Split())
-		if err != nil {
-			return nil, err
-		}
-		stats.Epochs = append(stats.Epochs, more.Epochs...)
-	}
-	return &FunctionalResult{Model: model, Stats: stats, DeviceTime: timing}, nil
-}

@@ -119,28 +119,6 @@ func TestTrainOnDeviceRejectsEmpty(t *testing.T) {
 	}
 }
 
-func TestTrainOnDeviceStreaming(t *testing.T) {
-	train, test := functionalData(t)
-	cfg := hdc.TrainConfig{Dim: 1024, LearningRate: 1, Nonlinear: true, Seed: 31}
-	res, err := TrainOnDeviceStreaming(EdgeTPU(), train, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stats.Epochs) != 4 { // 1 streaming pass + 3 refinement
-		t.Fatalf("%d epochs recorded", len(res.Stats.Epochs))
-	}
-	if acc := res.Model.Accuracy(test); acc < 0.7 {
-		t.Fatalf("streaming-trained accuracy %.3f", acc)
-	}
-}
-
-func TestTrainOnDeviceStreamingRequiresAccel(t *testing.T) {
-	train, _ := functionalData(t)
-	if _, err := TrainOnDeviceStreaming(CPUBaseline(), train, hdc.TrainConfig{Dim: 64}, 0); err == nil {
-		t.Fatal("accel-less platform accepted")
-	}
-}
-
 func TestInferOnDeviceProfiled(t *testing.T) {
 	train, test := functionalData(t)
 	model, _, err := hdc.Train(train, nil, hdc.TrainConfig{Dim: 512, Epochs: 4, LearningRate: 1, Nonlinear: true, Seed: 41})

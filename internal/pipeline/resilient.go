@@ -10,12 +10,10 @@ import (
 	"hdcedge/internal/backend"
 	"hdcedge/internal/backend/hostcpu"
 	"hdcedge/internal/backend/tpu"
-	"hdcedge/internal/cpuarch"
 	"hdcedge/internal/edgetpu"
 	"hdcedge/internal/metrics"
 	"hdcedge/internal/rng"
 	"hdcedge/internal/tensor"
-	"hdcedge/internal/tflite"
 )
 
 // This file is the resilient runtime on top of the backend seam:
@@ -735,18 +733,4 @@ func (r *ResilientRunner) invokeSecondary(fill func(in *tensor.Tensor), waste ed
 	t := waste
 	t.Add(st)
 	return t, nil
-}
-
-// HostModelTime prices one full invocation of a (typically quantized) model
-// on the host CPU using the cpuarch primitives — the cost the resilient
-// runtime pays per invoke once it has degraded off the accelerator. It is
-// hostcpu.ModelTime, re-exported where the pipeline's consumers expect it.
-func HostModelTime(host cpuarch.Spec, m *tflite.Model) time.Duration {
-	return hostcpu.ModelTime(host, m)
-}
-
-// HostModelTimeRows prices one invocation at an effective batch of rows
-// occupied sample rows; see hostcpu.ModelTimeRows.
-func HostModelTimeRows(host cpuarch.Spec, m *tflite.Model, rows int) time.Duration {
-	return hostcpu.ModelTimeRows(host, m, rows)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hdcedge/internal/backend/hostcpu"
 	"hdcedge/internal/dataset"
 	"hdcedge/internal/edgetpu"
 	"hdcedge/internal/hdc"
@@ -225,8 +226,8 @@ func TestHostModelTimePricesInferenceModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := HostModelTime(p.Host, small.Model)
-	tl := HostModelTime(p.Host, large.Model)
+	ts := hostcpu.ModelTime(p.Host, small.Model)
+	tl := hostcpu.ModelTime(p.Host, large.Model)
 	if ts <= 0 {
 		t.Fatalf("host pricing %v for a real model", ts)
 	}

@@ -147,15 +147,6 @@ func FromInt8(data []int8, q *QuantParams, shape ...int) *Tensor {
 	return &Tensor{DType: Int8, Shape: s.Clone(), I8: data, Quant: q}
 }
 
-// FromInt32 wraps data (not copied) in an int32 tensor.
-func FromInt32(data []int32, q *QuantParams, shape ...int) *Tensor {
-	s := Shape(shape)
-	if len(data) != s.Elems() {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), s))
-	}
-	return &Tensor{DType: Int32, Shape: s.Clone(), I32: data, Quant: q}
-}
-
 // Elems returns the number of elements.
 func (t *Tensor) Elems() int { return t.Shape.Elems() }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -52,27 +53,47 @@ func TestChecksumRejectsBitFlip(t *testing.T) {
 	}
 }
 
-func TestChecksumAcceptsLegacyBlob(t *testing.T) {
+// TestChecksumRejectsStrippedFooter cuts the 8-byte footer off a sealed
+// blob. Without the footer nothing can vouch for the payload, so the blob
+// is rejected whether its payload is intact or carries a flipped weight
+// bit; otherwise cutting the footer would hide any corruption before it.
+func TestChecksumRejectsStrippedFooter(t *testing.T) {
 	m := buildTinyFloatModel(2)
 	blob := m.Marshal()
-	legacy := blob[:len(blob)-crcFooterLen] // a pre-footer writer's output
-	got, err := Unmarshal(legacy)
-	if err != nil {
-		t.Fatalf("legacy footerless blob rejected: %v", err)
+	var w1 []byte
+	for _, tn := range m.Tensors {
+		if tn.Name == "w1" {
+			w1 = m.Buffers[tn.Buffer]
+		}
 	}
-	if !reflect.DeepEqual(m, got) {
-		t.Fatal("legacy round trip diverged")
+	at := bytes.Index(blob, w1)
+	if w1 == nil || at < 0 {
+		t.Fatal("w1 weights not found in the blob")
 	}
-	// Stream reads see the same behavior.
-	if _, err := Read(bytes.NewReader(legacy)); err != nil {
-		t.Fatalf("legacy stream read rejected: %v", err)
+	flipped := append([]byte(nil), blob...)
+	flipped[at+2] ^= 0x01 // w1[0]: 1.0 -> 1.0078125
+	var ce *ChecksumError
+	if _, err := Unmarshal(flipped); !errors.As(err, &ce) {
+		t.Fatalf("sealed weight flip returned %v, want ChecksumError", err)
+	}
+	for _, c := range []struct {
+		name   string
+		sealed []byte
+	}{{"intact", blob}, {"weight-flip", flipped}} {
+		stripped := c.sealed[:len(c.sealed)-crcFooterLen]
+		if _, err := Unmarshal(stripped); err == nil || !strings.Contains(err.Error(), "integrity footer") {
+			t.Errorf("%s payload without footer: Unmarshal returned %v, want a missing-footer error", c.name, err)
+		}
+		if _, err := Read(bytes.NewReader(stripped)); err == nil || !strings.Contains(err.Error(), "integrity footer") {
+			t.Errorf("%s payload without footer: Read returned %v, want a missing-footer error", c.name, err)
+		}
 	}
 }
 
 func TestChecksumRejectsTrailingGarbage(t *testing.T) {
 	blob := buildTinyFloatModel(1).Marshal()
 	payload := blob[:len(blob)-crcFooterLen]
-	// Garbage after a legacy payload must not parse.
+	// Garbage after a footerless payload must not parse.
 	if _, err := Unmarshal(append(append([]byte(nil), payload...), 0xAA, 0xBB)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
@@ -89,8 +110,7 @@ func TestChecksumRejectsTrailingGarbage(t *testing.T) {
 
 // FuzzModelChecksum asserts the integrity property end to end: starting
 // from a valid checksummed blob, any single bit flip and any strict
-// truncation must be rejected — except cutting exactly the footer, which
-// by design yields a valid legacy blob.
+// truncation, cutting exactly the footer included, must be rejected.
 func FuzzModelChecksum(f *testing.F) {
 	blob := buildTinyFloatModel(1).Marshal()
 	f.Add(0, uint8(1))
@@ -108,7 +128,7 @@ func FuzzModelChecksum(f *testing.F) {
 				t.Fatalf("bit flip %#02x at %d accepted", mask, pos)
 			}
 		}
-		if pos > 0 && pos != len(blob)-crcFooterLen {
+		if pos > 0 {
 			if _, err := Unmarshal(blob[:pos]); err == nil {
 				t.Fatalf("truncation to %d bytes accepted", pos)
 			}

@@ -30,8 +30,9 @@ import (
 //	footer  "HCRC" + uint32 CRC32 (IEEE) of every preceding byte
 //
 // The footer is an integrity seal over the whole container: Unmarshal
-// verifies it and rejects corrupt bytes with *ChecksumError. Blobs written
-// before the footer existed (no trailing "HCRC" marker) are still accepted.
+// verifies it and rejects corrupt bytes with *ChecksumError. A blob without
+// the footer is rejected too, since a cut-off footer would otherwise hide
+// any corruption before it.
 
 const (
 	magic   = "HTFL"
@@ -159,7 +160,7 @@ func (m *Model) Save(path string) error {
 }
 
 // Read consumes the reader and parses the model, verifying the integrity
-// footer when present.
+// footer.
 func Read(r io.Reader) (*Model, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -168,18 +169,18 @@ func Read(r io.Reader) (*Model, error) {
 	return Unmarshal(raw)
 }
 
-// Unmarshal parses a model from a byte slice. A trailing "HCRC" footer is
-// verified against the payload (mismatch yields *ChecksumError) and
-// stripped; footerless blobs from before the checksum existed are parsed
-// as-is. Any other bytes left over after the model is an error.
+// Unmarshal parses a model from a byte slice. The trailing "HCRC" footer
+// must be present (its absence is an error) and match the payload (a
+// mismatch is a *ChecksumError). Any bytes left over after the model are an
+// error.
 func Unmarshal(raw []byte) (*Model, error) {
-	payload := raw
-	if len(raw) >= crcFooterLen && string(raw[len(raw)-crcFooterLen:len(raw)-4]) == crcMagic {
-		want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-		payload = raw[:len(raw)-crcFooterLen]
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return nil, &ChecksumError{Want: want, Got: got}
-		}
+	if len(raw) < crcFooterLen || string(raw[len(raw)-crcFooterLen:len(raw)-4]) != crcMagic {
+		return nil, fmt.Errorf("tflite: model is missing its %q integrity footer", crcMagic)
+	}
+	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
+	payload := raw[:len(raw)-crcFooterLen]
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return nil, &ChecksumError{Want: want, Got: got}
 	}
 	src := bytes.NewReader(payload)
 	br := bufio.NewReader(src)
