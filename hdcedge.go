@@ -202,18 +202,3 @@ func Experiments() []string { return experiments.AllExperiments }
 func RunExperiment(name string, cfg ExperimentConfig, w io.Writer) error {
 	return experiments.RunOne(name, cfg, w)
 }
-
-// --- Extensions beyond the paper ---
-
-// OnlineConfig controls single-pass confidence-weighted training
-// (OnlineHD-style, the paper's reference [17]).
-type OnlineConfig = hdc.OnlineConfig
-
-// TrainOnline trains a model with `passes` confidence-weighted passes.
-func TrainOnline(train *Dataset, dim, passes int, cfg OnlineConfig, nonlinear bool, seed uint64) (*Model, *TrainStats, error) {
-	return hdc.TrainOnline(train, dim, passes, cfg, nonlinear, seed)
-}
-
-// BipolarModel is the 1-bit packed deployment form of a trained model;
-// see Model.Binarize.
-type BipolarModel = hdc.BipolarModel

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -257,14 +258,26 @@ func TestLoadBipolarRejectsLengthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := raw[:len(raw)-8]
-	for _, cut := range []int{1, 7, 8, 64} {
-		// Reseal the cut payload so only the length check can fire.
-		bad := filepath.Join(t.TempDir(), "cut.hdb")
-		if err := os.WriteFile(bad, withFooter(payload[:len(payload)-cut]), 0o644); err != nil {
+	// Reseal each cut or padded payload so only the length check can fire.
+	resealed := func(name string, body []byte) error {
+		bad := filepath.Join(t.TempDir(), name+".hdb")
+		if err := os.WriteFile(bad, withFooter(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadBipolarModel(bad); err == nil {
-			t.Fatalf("payload short by %d bytes accepted", cut)
+		_, err := LoadBipolarModel(bad)
+		return err
+	}
+	for _, cut := range []int{1, 7, 8, 64} {
+		err := resealed("cut", payload[:len(payload)-cut])
+		if err == nil || !strings.Contains(err.Error(), "bipolar payload") {
+			t.Fatalf("payload short by %d bytes: got %v, want the length error", cut, err)
+		}
+	}
+	for _, pad := range []int{1, 8} {
+		body := append(append([]byte(nil), payload...), make([]byte, pad)...)
+		err := resealed("padded", body)
+		if err == nil || !strings.Contains(err.Error(), "bipolar payload") {
+			t.Fatalf("payload padded by %d bytes: got %v, want the length error", pad, err)
 		}
 	}
 	// A header that advertises a huge model over a tiny payload must be
@@ -277,8 +290,8 @@ func TestLoadBipolarRejectsLengthMismatch(t *testing.T) {
 	if err := os.WriteFile(huge, withFooter(head), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBipolarModel(huge); err == nil {
-		t.Fatal("huge-header tiny-payload file accepted")
+	if _, err := LoadBipolarModel(huge); err == nil || !strings.Contains(err.Error(), "bipolar payload") {
+		t.Fatalf("huge-header tiny-payload file: got %v, want the length error", err)
 	}
 }
 
@@ -362,8 +375,11 @@ func TestBipolarPackedVsFloatPredict(t *testing.T) {
 }
 
 // FuzzLoadBipolarModel: arbitrary bytes must either parse into a model
-// that carries its footer and saves and reloads identically, or fail
-// cleanly — never panic or over-allocate on a lying header.
+// that saves and reloads identically, or fail cleanly — never panic or
+// over-allocate on a lying header. Each input is loaded twice: as given,
+// where only a file ending in its footer may load, and resealed with a
+// valid footer, so the header, length and allocation checks behind the
+// checksum are fuzzed too (a CRC32 footer does not vouch for its writer).
 func FuzzLoadBipolarModel(f *testing.F) {
 	dir := f.TempDir()
 	seedModel := func(dim int) []byte {
@@ -383,34 +399,45 @@ func FuzzLoadBipolarModel(f *testing.F) {
 		return raw
 	}
 	sealed := seedModel(96)
+	payload := sealed[:len(sealed)-8]
+	lying := append([]byte(nil), payload[:17]...)
+	binary.LittleEndian.PutUint32(lying[5:9], 1<<20)   // n
+	binary.LittleEndian.PutUint32(lying[9:13], 1<<24)  // d
+	binary.LittleEndian.PutUint32(lying[13:17], 1<<16) // k
 	f.Add(sealed)
-	f.Add(sealed[:len(sealed)-8]) // footerless: must be rejected
+	f.Add(payload) // footerless: rejected as given, parses resealed
+	f.Add(append(append([]byte(nil), payload...), 0xEE))
+	f.Add(lying)
 	f.Add(sealed[:9])
 	f.Add([]byte("HDB1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.hdb")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Skip()
+		load := func(raw []byte) *BipolarModel {
+			path := filepath.Join(t.TempDir(), "fuzz.hdb")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Skip()
+			}
+			bm, err := LoadBipolarModel(path)
+			if err != nil {
+				return nil
+			}
+			// Anything that parses must re-save and reload bit-identically.
+			again := filepath.Join(t.TempDir(), "again.hdb")
+			if err := bm.Save(again); err != nil {
+				t.Fatalf("parsed model fails to save: %v", err)
+			}
+			back, err := LoadBipolarModel(again)
+			if err != nil {
+				t.Fatalf("re-saved model fails to load: %v", err)
+			}
+			if back.Dim != bm.Dim || back.K() != bm.K() {
+				t.Fatal("round trip changed dims")
+			}
+			return bm
 		}
-		bm, err := LoadBipolarModel(path)
-		if err != nil {
-			return
-		}
-		if len(data) < crcFooterLen || string(data[len(data)-crcFooterLen:len(data)-4]) != crcMagic {
+		if load(data) != nil && (len(data) < crcFooterLen || string(data[len(data)-crcFooterLen:len(data)-4]) != crcMagic) {
 			t.Fatal("input without the integrity footer accepted")
 		}
-		// Anything that parses must re-save and reload bit-identically.
-		again := filepath.Join(t.TempDir(), "again.hdb")
-		if err := bm.Save(again); err != nil {
-			t.Fatalf("parsed model fails to save: %v", err)
-		}
-		back, err := LoadBipolarModel(again)
-		if err != nil {
-			t.Fatalf("re-saved model fails to load: %v", err)
-		}
-		if back.Dim != bm.Dim || back.K() != bm.K() {
-			t.Fatal("round trip changed dims")
-		}
+		load(withFooter(data))
 	})
 }

@@ -18,9 +18,9 @@ import (
 //	Permute (ρ)  cyclic rotation: ordering; preserves distances while
 //	             decorrelating a vector from its unrotated self.
 //
-// The classifier above uses Bundle for class accumulation; the sequence
-// encoder uses Bind and Permute. They are exported so downstream users
-// can build new HDC structures (records, graphs, stacks) directly.
+// The classifier above uses Bundle for class accumulation. Bind and
+// Permute are exported so downstream users can build new HDC structures
+// (sequences, records, graphs, stacks) directly.
 
 // RandomHypervector draws a dense N(0,1) hypervector.
 func RandomHypervector(dim int, r *rng.RNG) []float32 {

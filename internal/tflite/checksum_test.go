@@ -100,12 +100,25 @@ func TestChecksumRejectsTrailingGarbage(t *testing.T) {
 	// Garbage between payload and a recomputed valid footer must not parse
 	// either: the CRC passes but the model has leftover bytes.
 	padded := append(append([]byte(nil), payload...), 0xAA, 0xBB, 0xCC)
-	var footer [crcFooterLen]byte
-	copy(footer[:4], crcMagic)
-	binary.LittleEndian.PutUint32(footer[4:], crc32.ChecksumIEEE(padded))
-	if _, err := Unmarshal(append(padded, footer[:]...)); err == nil {
+	if _, err := Unmarshal(withFooter(padded)); err == nil {
 		t.Fatal("padded-but-checksummed blob accepted")
 	}
+}
+
+// withFooter appends a valid "HCRC" footer to payload, so a test can reach
+// the parser's own checks with bytes the checksum does not reject.
+func withFooter(payload []byte) []byte {
+	var footer [crcFooterLen]byte
+	copy(footer[:4], crcMagic)
+	binary.LittleEndian.PutUint32(footer[4:], crc32.ChecksumIEEE(payload))
+	return append(append([]byte(nil), payload...), footer[:]...)
+}
+
+// parserError reports whether err came from the parser itself rather than
+// from the footer check in front of it.
+func parserError(err error) bool {
+	var ce *ChecksumError
+	return err != nil && !errors.As(err, &ce) && !strings.Contains(err.Error(), "integrity footer")
 }
 
 // FuzzModelChecksum asserts the integrity property end to end: starting

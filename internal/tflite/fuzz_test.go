@@ -9,28 +9,40 @@ import (
 // Native fuzz targets. `go test` runs the seed corpus; `go test -fuzz`
 // explores further.
 
+// FuzzReadModel unmarshals each input twice: as given, where only a blob
+// ending in its footer may parse, and resealed with a valid footer, so the
+// header, count and length checks behind the checksum are fuzzed too (a
+// CRC32 footer does not vouch for its writer).
 func FuzzReadModel(f *testing.F) {
-	f.Add(buildTinyFloatModel(1).Marshal())
-	f.Add(buildTinyFloatModel(3).Marshal())
 	qm, err := QuantizeModel(buildTinyFloatModel(1), tinyCalib())
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(qm.Marshal())
+	for _, blob := range [][]byte{buildTinyFloatModel(1).Marshal(), buildTinyFloatModel(3).Marshal(), qm.Marshal()} {
+		f.Add(blob)
+		f.Add(blob[:len(blob)-crcFooterLen]) // footerless: rejected as given, parses resealed
+	}
 	f.Add([]byte("HTFL"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Unmarshal(data)
-		if err != nil {
-			return
+		parse := func(raw []byte) bool {
+			m, err := Unmarshal(raw)
+			if err != nil {
+				return false
+			}
+			// Anything that parses must validate and re-serialize.
+			if err := m.Validate(); err != nil {
+				t.Fatalf("parsed model fails validation: %v", err)
+			}
+			if _, err := Unmarshal(m.Marshal()); err != nil {
+				t.Fatalf("re-serialized model fails to parse: %v", err)
+			}
+			return true
 		}
-		// Anything that parses must validate and re-serialize.
-		if err := m.Validate(); err != nil {
-			t.Fatalf("parsed model fails validation: %v", err)
+		if parse(data) && (len(data) < crcFooterLen || string(data[len(data)-crcFooterLen:len(data)-4]) != crcMagic) {
+			t.Fatal("input without the integrity footer accepted")
 		}
-		if _, err := Unmarshal(m.Marshal()); err != nil {
-			t.Fatalf("re-serialized model fails to parse: %v", err)
-		}
+		parse(withFooter(data))
 	})
 }
 

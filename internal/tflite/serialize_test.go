@@ -98,6 +98,14 @@ func TestReadRejectsTruncation(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+	// Resealed, a truncated payload gets past the footer check, so the
+	// parser itself must reject it.
+	payload := raw[:len(raw)-crcFooterLen]
+	for _, cut := range []int{3, 8, len(payload) / 2, len(payload) - 1} {
+		if _, err := Unmarshal(withFooter(payload[:cut])); !parserError(err) {
+			t.Fatalf("resealed truncation at %d: got %v, want a parse error", cut, err)
+		}
+	}
 }
 
 func TestReadRejectsCorruptedGraph(t *testing.T) {

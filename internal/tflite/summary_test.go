@@ -108,18 +108,25 @@ func TestQuickReadNeverPanics(t *testing.T) {
 	}
 }
 
-// Property: truncating the stream at any point never panics.
+// Property: truncating the stream at any point never panics, and no strict
+// prefix parses: neither as cut, the footerless one included, nor resealed
+// with a valid footer, where the parser's own checks must catch it.
 func TestQuickTruncationNeverPanics(t *testing.T) {
 	base := buildTinyFloatModel(1).Marshal()
+	payload := base[:len(base)-crcFooterLen]
 	f := func(cut uint16) bool {
 		n := int(cut) % len(base)
+		m := int(cut) % len(payload)
 		defer func() {
 			if recover() != nil {
-				t.Errorf("Read panicked for truncation at %d", n)
+				t.Errorf("Read panicked for truncation at %d (resealed at %d)", n, m)
 			}
 		}()
-		_, err := Unmarshal(base[:n])
-		return err != nil // no strict prefix may parse, the footerless one included
+		if _, err := Unmarshal(base[:n]); err == nil {
+			return false
+		}
+		_, err := Unmarshal(withFooter(payload[:m]))
+		return parserError(err)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
