@@ -104,12 +104,16 @@ binhd-smoke:
 # billing, hot swap, and the determinism of LRU eviction (two identical
 # runs must produce identical event logs), and a single-model server whose
 # model is wider than device memory, which the registry must not bill a
-# re-setup on top of the device's own weight streaming. Fast enough for every
-# `make test`.
+# re-setup on top of the device's own weight streaming. The coalescer's
+# mixed-deadline scenario repeats 20 times because a consume callback racing
+# a deadline (the worker must win a request before writing the caller's
+# output) shows up in only about one run in a hundred or more. Fast enough
+# for every `make test`.
 tenant-smoke:
 	$(GO) test -race -count=1 \
 		-run 'TestSchedulerWeightedFairShares|TestSchedulerStrictPriority|TestServeTenantQuotaShed|TestServeTenantSnapshotMonotone|TestServeMultiModelDispatchAndSwapBilling|TestServeHotSwapInvalidatesBind|TestServeEvictionDeterministic|TestServeRegistrySingleModelBitIdentical' \
 		./internal/serve/
+	$(GO) test -race -count=20 -run 'TestServeBatchConcurrentMixedDeadlines' ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestRegisterNonResidentModelBillsBlobOnly' ./internal/registry/
 
 # The online-learning loop under the race detector: the feedback trainer's

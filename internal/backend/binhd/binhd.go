@@ -33,15 +33,15 @@ import (
 // fleet spec).
 const Name = "bin"
 
-// encodeRowsPerBlock is how many sample rows one fused-kernel block
-// processes: the kernel is unrolled 2 rows × 4 features, and blocks of 8
-// rows keep ParallelFor chunks big enough to amortize scheduling.
+// encodeRowsPerBlock is how many sample rows one encode block processes:
+// blocks of 8 rows keep ParallelFor chunks big enough to amortize
+// scheduling.
 const encodeRowsPerBlock = 8
 
-// scratchPool recycles the per-block float accumulators of the fused
-// encode kernel, so steady-state invokes allocate nothing. Entries are
-// *[]float32 (a pointer, so Put does not allocate) sized max(2·d, need)
-// on first use and grown monotonically.
+// scratchPool recycles the per-block float accumulator row of the encode
+// phase, so steady-state invokes allocate nothing. Entries are *[]float32
+// (a pointer, so Put does not allocate) sized d on first use and grown
+// monotonically.
 var scratchPool = sync.Pool{New: func() any { s := make([]float32, 0); return &s }}
 
 // Backend serves one BipolarModel. Not safe for concurrent use: the
@@ -231,104 +231,32 @@ func (b *Backend) run(rows int) {
 
 // encodeBlocks is the encode-phase worker body: each unit is one block of
 // encodeRowsPerBlock sample rows, clamped to the in-flight row count. Each
-// worker checks out its own scratch pair from the pool, so concurrent
+// row is projected by tensor.VecMatSerial, the kernel behind
+// Encoder.Encode, into a scratch row, then sign-thresholded and
+// bit-packed straight into b.packed. The packed query is therefore
+// sign(Encoder.Encode(x)) bit for bit: the sign of the optional tanh
+// equals the sign of its argument, so no transcendental pass runs. Each
+// worker checks out its own scratch row from the pool, so concurrent
 // blocks never share accumulators.
 func (b *Backend) encodeBlocks(lo, hi int) {
 	sp := scratchPool.Get().(*[]float32)
 	scratch := *sp
-	if cap(scratch) < 2*b.d {
-		scratch = make([]float32, 2*b.d)
+	if cap(scratch) < b.d {
+		scratch = make([]float32, b.d)
 	}
-	scratch = scratch[:2*b.d]
+	scratch = scratch[:b.d]
+	n, words := b.n, b.words
+	x := b.in.F32
 	for blk := lo; blk < hi; blk++ {
 		r0 := blk * encodeRowsPerBlock
-		r1 := r0 + encodeRowsPerBlock
-		if r1 > b.runRows {
-			r1 = b.runRows
+		r1 := min(r0+encodeRowsPerBlock, b.runRows)
+		for r := r0; r < r1; r++ {
+			tensor.VecMatSerial(scratch, x[r*n:(r+1)*n], b.bm.Encoder.Base)
+			hdc.PackSignsInto(b.packed[r*words:(r+1)*words], scratch)
 		}
-		b.encodePackRows(r0, r1, scratch)
 	}
 	*sp = scratch
 	scratchPool.Put(sp)
-}
-
-// encodePackRows fuses float encode → sign-threshold → bit-pack for rows
-// [r0, r1): C = X·B computed two rows × four features at a time into the
-// scratch accumulators (the first feature initializes, so there is no
-// zeroing pass), each finished row packed straight into b.packed. An odd
-// last row takes the same four-feature steps alone, so every row sums its
-// features in one order whichever path computes it. The
-// sign of the optional tanh nonlinearity equals the sign of its argument,
-// so no transcendental pass runs and the packed bits still match
-// BipolarModel.Predict exactly.
-func (b *Backend) encodePackRows(r0, r1 int, scratch []float32) {
-	n, d, words := b.n, b.d, b.words
-	base := b.bm.Encoder.Base.F32
-	x := b.in.F32
-	r := r0
-	for ; r+1 < r1; r += 2 {
-		c0 := scratch[:d]
-		c1 := scratch[d : 2*d][:d]
-		x0 := x[r*n : (r+1)*n]
-		x1 := x[(r+1)*n : (r+2)*n]
-
-		a0, a1 := x0[0], x1[0]
-		for j, bv := range base[:d] {
-			c0[j] = a0 * bv
-			c1[j] = a1 * bv
-		}
-		i := 1
-		for ; i+3 < n; i += 4 {
-			a00, a01, a02, a03 := x0[i], x0[i+1], x0[i+2], x0[i+3]
-			a10, a11, a12, a13 := x1[i], x1[i+1], x1[i+2], x1[i+3]
-			p0 := base[i*d : (i+1)*d][:d]
-			p1 := base[(i+1)*d : (i+2)*d][:d]
-			p2 := base[(i+2)*d : (i+3)*d][:d]
-			p3 := base[(i+3)*d : (i+4)*d][:d]
-			for j, bv0 := range p0 {
-				bv1, bv2, bv3 := p1[j], p2[j], p3[j]
-				c0[j] += a00*bv0 + a01*bv1 + a02*bv2 + a03*bv3
-				c1[j] += a10*bv0 + a11*bv1 + a12*bv2 + a13*bv3
-			}
-		}
-		for ; i < n; i++ {
-			av0, av1 := x0[i], x1[i]
-			bi := base[i*d : (i+1)*d][:d]
-			for j, bv := range bi {
-				c0[j] += av0 * bv
-				c1[j] += av1 * bv
-			}
-		}
-		hdc.PackSignsInto(b.packed[r*words:(r+1)*words], c0)
-		hdc.PackSignsInto(b.packed[(r+1)*words:(r+2)*words], c1)
-	}
-	for ; r < r1; r++ {
-		c0 := scratch[:d]
-		x0 := x[r*n : (r+1)*n]
-		a0 := x0[0]
-		for j, bv := range base[:d] {
-			c0[j] = a0 * bv
-		}
-		i := 1
-		for ; i+3 < n; i += 4 {
-			a00, a01, a02, a03 := x0[i], x0[i+1], x0[i+2], x0[i+3]
-			p0 := base[i*d : (i+1)*d][:d]
-			p1 := base[(i+1)*d : (i+2)*d][:d]
-			p2 := base[(i+2)*d : (i+3)*d][:d]
-			p3 := base[(i+3)*d : (i+4)*d][:d]
-			for j, bv0 := range p0 {
-				c0[j] += a00*bv0 + a01*p1[j] + a02*p2[j] + a03*p3[j]
-			}
-		}
-		for ; i < n; i++ {
-			av := x0[i]
-			bi := base[i*d : (i+1)*d][:d]
-			for j, bv := range bi {
-				c0[j] += av * bv
-			}
-		}
-		hdc.PackSignsInto(b.packed[r*words:(r+1)*words], c0)
-	}
 }
 
 // classifyRows scans rows [lo, hi) of the packed queries against every

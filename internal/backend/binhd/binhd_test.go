@@ -1,6 +1,7 @@
 package binhd
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"hdcedge/internal/dataset"
 	"hdcedge/internal/hdc"
 	"hdcedge/internal/metrics"
+	"hdcedge/internal/rng"
 	"hdcedge/internal/tensor"
 )
 
@@ -85,14 +87,45 @@ func TestScoresAreExactAgreement(t *testing.T) {
 	}
 }
 
-// TestRowScoresIndependentOfPairing: the fused kernel encodes rows two at a
-// time with a single-row tail, and both paths must sum features in the same
-// order, so a row's packed bits do not depend on which path computed it.
-// The base is built so that the sum's sign hinges on that order: feature by
-// feature, 1 + 1e8 rounds back to 1e8 in float32 and the total comes out
-// -0.5; in four-feature steps it comes out +0.5.
-func TestRowScoresIndependentOfPairing(t *testing.T) {
-	const n, d, capacity = 5, 64, 3
+// TestPackedQueryMatchesEncodeSigns: every packed query must equal
+// PackSignsInto(Encoder.Encode(x)) word for word, whatever the shape, the
+// encoder's nonlinearity, the batch occupancy or a row's place in the
+// batch: the backend projects with the kernel Encode runs, so its bits
+// match BipolarModel.Predict's by construction. Widths reach past the
+// point where Encode splits its columns over workers.
+func TestPackedQueryMatchesEncodeSigns(t *testing.T) {
+	check := func(b *Backend, in []float32) {
+		t.Helper()
+		enc := make([]float32, b.d)
+		want := make([]uint64, b.words)
+		for rows := 0; rows <= b.capacity; rows++ {
+			copy(b.Input(0).F32, in)
+			if _, err := b.InvokeBatch(rows); err != nil {
+				t.Fatal(err)
+			}
+			occupied := rows
+			if occupied == 0 {
+				occupied = b.capacity
+			}
+			for row := 0; row < occupied; row++ {
+				b.bm.Encoder.Encode(enc, in[row*b.n:(row+1)*b.n])
+				hdc.PackSignsInto(want, enc)
+				got := b.packed[row*b.words : (row+1)*b.words]
+				for w := range want {
+					if got[w] != want[w] {
+						t.Fatalf("n%d d%d cap%d rows=%d row %d word %d: packed %#x, sign(Encode) %#x",
+							b.n, b.d, b.capacity, rows, row, w, got[w], want[w])
+					}
+				}
+			}
+		}
+	}
+
+	// A row whose sum's sign hinges on the summation order: feature by
+	// feature, 1 + 1e8 rounds back to 1e8 in float32 and the total comes
+	// out -0.5 in every dim; adding features 2-5 as one group first gives
+	// +0.5.
+	const n, d, capacity = 5, 70, 3
 	column := [n]float32{1, 1e8, -1e8, 1, -1.5}
 	base := tensor.New(tensor.Float32, n, d)
 	for i, v := range column {
@@ -100,28 +133,52 @@ func TestRowScoresIndependentOfPairing(t *testing.T) {
 			base.F32[i*d+j] = v
 		}
 	}
-	bm := &hdc.BipolarModel{Encoder: &hdc.Encoder{Base: base}, Dim: d, Words: [][]uint64{{^uint64(0)}, {0}}}
+	bm := &hdc.BipolarModel{Encoder: &hdc.Encoder{Base: base, Nonlinear: true}, Dim: d,
+		Words: [][]uint64{{^uint64(0), 1<<(d-64) - 1}, {0, 0}}}
 	b, err := New(cpuarch.MobileI5(), bm, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range b.Input(0).F32 {
-		b.Input(0).F32[i] = 1
+	ones := make([]float32, capacity*n)
+	for i := range ones {
+		ones[i] = 1
 	}
-	if _, err := b.InvokeBatch(0); err != nil {
-		t.Fatal(err)
+	check(b, ones)
+	if got := b.Output(1).I32[:2]; got[0] != 0 || got[1] != d {
+		t.Fatalf("order-sensitive row scores %v, want [0 %d] (sum -0.5 in every dim)", got, d)
 	}
-	full := append([]int32(nil), b.Output(1).I32...)
-	for r := 0; r < capacity; r++ {
-		if full[2*r] != d || full[2*r+1] != 0 {
-			t.Fatalf("row %d scores %v, want [%d 0] (sum +0.5 in every dim)", r, full[2*r:2*r+2], d)
+
+	r := rng.New(78)
+	for trial := 0; trial < 24; trial++ {
+		n := 1 + r.Intn(40)
+		d := 1 + r.Intn(2600)
+		if trial%6 == 0 {
+			d = 64 * (1 + r.Intn(40))
 		}
-	}
-	if _, err := b.InvokeBatch(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Output(1).I32[:2]; got[0] != full[0] || got[1] != full[1] {
-		t.Fatalf("single-row invoke scores %v, full invoke %v", got, full[:2])
+		capacity := 1 + r.Intn(9)
+		base := tensor.New(tensor.Float32, n, d)
+		r.FillNormal(base.F32)
+		words := [][]uint64{make([]uint64, hdc.WordsPerVector(d)), make([]uint64, hdc.WordsPerVector(d))}
+		bm := &hdc.BipolarModel{Encoder: &hdc.Encoder{Base: base, Nonlinear: trial%2 == 0}, Dim: d, Words: words}
+		b, err := New(cpuarch.MobileI5(), bm, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make([]float32, capacity*n)
+		r.FillNormal(in)
+		for i := range in {
+			switch r.Intn(8) {
+			case 0:
+				in[i] = 0
+			case 1:
+				in[i] = float32(math.Copysign(0, -1))
+			}
+		}
+		if trial%3 == 0 {
+			row := r.Intn(capacity)
+			clear(in[row*n : (row+1)*n])
+		}
+		check(b, in)
 	}
 }
 

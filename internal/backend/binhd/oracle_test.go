@@ -10,18 +10,13 @@ import (
 )
 
 // oracleProjection returns row x's projection onto base column j in the
-// order the fused kernel documents: the first feature initializes, then
-// four-feature groups are summed left to right and added, then the
-// remaining features one at a time. Zero features are not skipped.
+// order tensor's float projection documents: ascending features, one
+// rounded add per feature, starting from zero. (The kernel skips zero
+// features; adding their zero products leaves the sum unchanged.)
 func oracleProjection(x []float32, base []float32, d, j int) float32 {
-	n := len(x)
-	s := x[0] * base[j]
-	i := 1
-	for ; i+3 < n; i += 4 {
-		s += x[i]*base[i*d+j] + x[i+1]*base[(i+1)*d+j] + x[i+2]*base[(i+2)*d+j] + x[i+3]*base[(i+3)*d+j]
-	}
-	for ; i < n; i++ {
-		s += x[i] * base[i*d+j]
+	var s float32
+	for i, xv := range x {
+		s += xv * base[i*d+j]
 	}
 	return s
 }
@@ -53,8 +48,8 @@ func oracleScores(x []float32, base []float32, d int, classSigns [][]int8) (scor
 
 // TestDifferentialOracle checks the fused packed kernel's scores and
 // predictions against oracleScores over randomized shapes: feature counts
-// with every remainder of the four-feature groups (and fewer features than
-// one group), widths that are not multiples of 64, odd capacities, zero
+// with every remainder of the kernel's four-feature passes (and fewer
+// features than one pass), widths that are not multiples of 64, odd capacities, zero
 // features and all-zero rows, and every row prefix InvokeBatch(rows) plus the full batch.
 func TestDifferentialOracle(t *testing.T) {
 	r := rng.New(77)

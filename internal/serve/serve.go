@@ -909,6 +909,13 @@ func (s *Server) settle(r *request, o outcome) bool {
 	if !r.settled.CompareAndSwap(false, true) {
 		return false
 	}
+	s.deliver(r, o)
+	return true
+}
+
+// deliver records the accounting and sends the outcome of a request whose
+// settle CAS the caller has already won.
+func (s *Server) deliver(r *request, o outcome) {
 	now := time.Now()
 	s.mu.Lock()
 	delete(s.pending, r)
@@ -918,7 +925,6 @@ func (s *Server) settle(r *request, o outcome) bool {
 	s.traces.record(r, o, deq, now)
 	r.res <- o
 	r.cancel()
-	return true
 }
 
 // account buckets one settled outcome into the live registry, attributing
@@ -1259,14 +1265,6 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 	})
 	rep := b.runner.Report()
 	onHost := rep.FallbackInvokes > before
-	if err == nil {
-		out := b.runner.Output(0)
-		for i, r := range batch {
-			if r.consume != nil && !r.settled.Load() {
-				r.consume(slot(out, i))
-			}
-		}
-	}
 	w.state.Store(int32(b.runner.BreakerState()))
 	w.mu.Lock()
 	b.report = rep
@@ -1338,9 +1336,21 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 	w.stats.Busy += now.Sub(start)
 	b.invokes++
 	w.mu.Unlock()
-	for _, r := range batch {
+	// Each member is claimed (its settle CAS won) before its consume runs,
+	// so consume never writes the caller's buffers after Do has returned:
+	// a deadline that fires now finds the request claimed and Submit waits
+	// for this delivery. Members that settled first are skipped. Only this
+	// worker invokes the runner, so the output is intact through the pace.
+	out := b.runner.Output(0)
+	for i, r := range batch {
+		if !r.settled.CompareAndSwap(false, true) {
+			continue
+		}
+		if r.consume != nil {
+			r.consume(slot(out, i))
+		}
 		lat := now.Sub(r.enq)
-		won := s.settle(r, outcome{res: Result{
+		s.deliver(r, outcome{res: Result{
 			Timing:    t,
 			OnHost:    onHost,
 			Device:    w.id,
@@ -1352,13 +1362,11 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 			Model:     r.model,
 			Swap:      swap,
 		}, inv: span})
-		if won {
-			w.mu.Lock()
-			w.stats.Requests++
-			w.stats.Latency.Observe(lat)
-			b.requests++
-			w.mu.Unlock()
-		}
+		w.mu.Lock()
+		w.stats.Requests++
+		w.stats.Latency.Observe(lat)
+		b.requests++
+		w.mu.Unlock()
 	}
 }
 

@@ -3,18 +3,25 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // MatMul computes dst = a · b for 2-D float tensors, with a of shape
 // [m, k] and b of shape [k, n]. dst must be a float tensor of shape [m, n].
-// The kernel is blocked for cache locality and parallelized across rows.
+// Rows are spread over workers, and each output row is computed by the
+// same panel loop as VecMat, so row i of dst is bit-identical to
+// VecMat(dst.Row(i), a.Row(i), b).
 func MatMul(dst, a, b *Tensor) {
 	checkMatMulShapes(dst, a, b)
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
-	matMulF32(dst.F32, a.F32, b.F32, m, k, n)
+	// Hand each worker at least 2^16 multiply-adds, so small products run
+	// inline instead of paying for goroutines.
+	minRows := (1 << 16) / max(k*n, 1)
+	ParallelFor(m, minRows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			vecMatBlock(dst.F32[i*n:(i+1)*n], a.F32[i*k:(i+1)*k], b.F32, k, n, 0, n, false)
+		}
+	})
 }
 
 func checkMatMulShapes(dst, a, b *Tensor) {
@@ -29,64 +36,6 @@ func checkMatMulShapes(dst, a, b *Tensor) {
 	}
 	if dst.Shape[0] != a.Shape[0] || dst.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: MatMul dst shape %v, want [%d %d]", dst.Shape, a.Shape[0], b.Shape[1]))
-	}
-}
-
-// matMulF32 is the blocked inner kernel: C[m,n] = A[m,k] * B[k,n].
-// It walks B row-wise (i-k-j order) so all inner accesses are sequential.
-func matMulF32(c, a, b []float32, m, k, n int) {
-	for i := range c {
-		c[i] = 0
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 || m*k*n < 1<<16 {
-		matMulRows(c, a, b, 0, m, k, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRows(c, a, b, lo, hi, k, n)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-func matMulRows(c, a, b []float32, lo, hi, k, n int) {
-	const kb = 256
-	for k0 := 0; k0 < k; k0 += kb {
-		k1 := k0 + kb
-		if k1 > k {
-			k1 = k
-		}
-		for i := lo; i < hi; i++ {
-			ci := c[i*n : (i+1)*n]
-			ai := a[i*k : (i+1)*k]
-			for kk := k0; kk < k1; kk++ {
-				av := ai[kk]
-				if av == 0 {
-					continue
-				}
-				bk := b[kk*n : (kk+1)*n]
-				for j, bv := range bk {
-					ci[j] += av * bv
-				}
-			}
-		}
 	}
 }
 
@@ -125,14 +74,27 @@ func VecMatTanh(dst []float32, x []float32, a *Tensor) {
 	vecMat(dst, x, a, true)
 }
 
-func vecMat(dst []float32, x []float32, a *Tensor, tanh bool) {
+// VecMatSerial is VecMat on the calling goroutine: it starts no workers
+// and allocates nothing, for callers that already spread rows over
+// workers themselves (the bin backend's encode blocks).
+func VecMatSerial(dst []float32, x []float32, a *Tensor) {
+	m, k := checkVecMat(dst, x, a)
+	vecMatBlock(dst, x, a.F32, m, k, 0, k, false)
+}
+
+func checkVecMat(dst, x []float32, a *Tensor) (m, k int) {
 	if a.DType != Float32 || len(a.Shape) != 2 {
 		panic("tensor: VecMat requires a 2-D float matrix")
 	}
-	m, k := a.Shape[0], a.Shape[1]
+	m, k = a.Shape[0], a.Shape[1]
 	if len(x) != m || len(dst) != k {
 		panic(fmt.Sprintf("tensor: VecMat dims: matrix %v, x %d, dst %d", a.Shape, len(x), len(dst)))
 	}
+	return m, k
+}
+
+func vecMat(dst []float32, x []float32, a *Tensor, tanh bool) {
+	m, k := checkVecMat(dst, x, a)
 	// Parallelize over disjoint column blocks: every dst[j] is owned by
 	// exactly one worker and accumulates its contributions in the same
 	// ascending-i order (with the same xv == 0 skips) as the serial loop,
@@ -150,10 +112,13 @@ func vecMat(dst []float32, x []float32, a *Tensor, tanh bool) {
 }
 
 // vecMatBlock accumulates the [j0, j1) column block of dst = x · a, then
-// applies tanh to it when asked. It adds four non-zero features per pass
-// over the block; each output still takes its contributions one rounded
-// add at a time in ascending feature order, as a one-feature-per-pass loop
-// does, so the sums are bit-identical to it.
+// applies tanh to it when asked. It is the one loop that computes x · B
+// for the float projection (VecMat, VecMatTanh, VecMatSerial, MatMul), so
+// the summation order is decided here alone: each output starts at zero
+// and takes its contributions one rounded add at a time in ascending
+// feature order, zero features skipped, as a one-feature-per-pass loop
+// does. It adds four non-zero features per pass over the block; the sums
+// are bit-identical to the one-feature-per-pass loop.
 func vecMatBlock(dst, x, af []float32, m, k, j0, j1 int, tanh bool) {
 	out := dst[j0:j1]
 	for j := range out {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"hdcedge/internal/rng"
 )
 
 func TestShapeElems(t *testing.T) {
@@ -351,29 +353,24 @@ func TestDTypeString(t *testing.T) {
 	}
 }
 
-// Property: MatMul row i equals VecMat of row i (kernel consistency).
+// Property: MatMul row i equals VecMat of row i bit for bit (one kernel).
 func TestQuickMatMulVecMatConsistent(t *testing.T) {
 	f := func(seed uint64, m8, k8, n8 uint8) bool {
 		m := int(m8%6) + 1
 		k := int(k8%20) + 1
 		n := int(n8%20) + 1
-		r := newTestRNG(seed)
+		r := rng.New(seed)
 		a := New(Float32, m, k)
 		b := New(Float32, k, n)
-		for i := range a.F32 {
-			a.F32[i] = float32(r()%17) - 8
-		}
-		for i := range b.F32 {
-			b.F32[i] = float32(r()%13) - 6
-		}
+		r.FillNormal(a.F32)
+		r.FillNormal(b.F32)
 		c := New(Float32, m, n)
 		MatMul(c, a, b)
 		row := make([]float32, n)
 		for i := 0; i < m; i++ {
 			VecMat(row, a.Row(i), b)
 			for j := 0; j < n; j++ {
-				d := float64(c.F32[i*n+j] - row[j])
-				if d > 1e-3 || d < -1e-3 {
+				if math.Float32bits(c.F32[i*n+j]) != math.Float32bits(row[j]) {
 					return false
 				}
 			}

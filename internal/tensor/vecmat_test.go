@@ -83,3 +83,42 @@ func TestVecMatTanhMatchesVecMatThenTanh(t *testing.T) {
 		}
 	}
 }
+
+// TestMatMulMatchesOneFeaturePerPass pins MatMul bit for bit to the plain
+// loop, row by row: one feature per pass over the output row, ascending,
+// zero features skipped. The rows cycle through vecMatInputs' dense,
+// all-zero, sparse and -0 vectors, and the row counts take MatMul's serial
+// and parallel paths.
+func TestMatMulMatchesOneFeaturePerPass(t *testing.T) {
+	r := rng.New(23)
+	for _, sh := range vecMatShapes {
+		b := New(Float32, sh.m, sh.k)
+		r.FillNormal(b.F32)
+		inputs := vecMatInputs(r, sh.m)
+		for _, rows := range []int{1, 2, 7, 33} {
+			a := New(Float32, rows, sh.m)
+			for i := 0; i < rows; i++ {
+				copy(a.Row(i), inputs[i%len(inputs)])
+			}
+			got := New(Float32, rows, sh.k)
+			MatMul(got, a, b)
+			want := make([]float32, sh.k)
+			for i := 0; i < rows; i++ {
+				clear(want)
+				for f, xv := range a.Row(i) {
+					if xv == 0 {
+						continue
+					}
+					for j, v := range b.Row(f) {
+						want[j] += xv * v
+					}
+				}
+				for j, w := range want {
+					if g := got.F32[i*sh.k+j]; math.Float32bits(g) != math.Float32bits(w) {
+						t.Fatalf("%dx%d rows=%d: dst[%d,%d] = %v, want %v", sh.m, sh.k, rows, i, j, g, w)
+					}
+				}
+			}
+		}
+	}
+}
