@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet fmt-check doc-check tanh-exhaustive race fuzz-smoke chaos-smoke seu-smoke binhd-smoke tenant-smoke online-smoke bench bench-serve bench-binhd bench-e2e experiments examples clean
+.PHONY: all build test vet fmt-check doc-check tanh-exhaustive race fuzz-smoke chaos-smoke seu-smoke binhd-smoke tenant-smoke online-smoke bars bench bench-serve bench-binhd bench-e2e experiments examples clean
 
 all: vet test
 
@@ -136,6 +136,25 @@ fuzz-smoke:
 			echo "=== fuzz $$pkg $$t"; \
 			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
 		done; \
+	done
+
+# The wall-clock acceptance bars, each run alone COUNT times, with pass and
+# fail counts per test and the first lines of each failure. It only
+# reports: `go test ./...` is what enforces the bars.
+COUNT ?= 6
+BARS := TestDriftAcceptanceBars TestChaosAblationHoldsGoodput TestMultiTenantAcceptanceBars TestBinHDAcceptanceBars
+bars:
+	@for t in $(BARS); do \
+		pass=0; fail=0; \
+		for i in $$(seq $(COUNT)); do \
+			if out=$$($(GO) test -count=1 -run "^$$t\$$" ./internal/experiments/ 2>&1); then \
+				pass=$$((pass + 1)); \
+			else \
+				fail=$$((fail + 1)); \
+				echo "$$out" | grep -E '^[[:space:]]+[a-z_]+_test\.go:[0-9]+: [^[:space:]]' | head -3; \
+			fi; \
+		done; \
+		echo "$$t: $$pass pass, $$fail fail of $(COUNT)"; \
 	done
 
 # One pass over every paper artifact via the benchmark harness.

@@ -80,7 +80,6 @@ import (
 	"net/http"
 	"os"
 	"slices"
-	"sync"
 	"time"
 
 	"hdcedge/internal/backend/binhd"
@@ -545,40 +544,29 @@ func main() {
 		o.requests, o.load, workers, o.fleet, o.pace, interarrival)
 	n := ds.Features()
 	fbRng := rng.New(o.seed + 1013)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < o.requests; i++ {
-		// Pace against absolute deadlines so OS timer slack becomes small
-		// catch-up bursts instead of silently capping the offered rate.
-		if d := time.Until(start.Add(time.Duration(i) * interarrival)); d > 0 {
-			time.Sleep(d)
-		}
+	reqs := make([]serve.Request, o.requests)
+	for i := range reqs {
 		row := i % ds.Samples()
+		features := ds.X.F32[row*n : (row+1)*n]
 		req := o.annotate(i)
+		req.Fill = func(in *tensor.Tensor) { copy(in.F32, features) }
 		if tr != nil && fbRng.Float64() < o.feedbackRate {
 			// This request reports its ground truth once served — the
 			// -feedback-rate sampled application feedback loop. Offer
 			// never blocks the serving path; a full queue drops.
-			features := ds.X.F32[row*n : (row+1)*n]
 			label := ds.Y[row]
 			model := req.Model
 			req.Consume = func(*tensor.Tensor) {
 				tr.Offer(online.Feedback{Model: model, Features: features, Label: label})
 			}
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Sheds and deadline misses are expected under overload; the
-			// final report accounts for every outcome.
-			req.Fill = func(in *tensor.Tensor) {
-				copy(in.F32, ds.X.F32[row*n:(row+1)*n])
-			}
-			s.Submit(context.Background(), req)
-		}()
+		reqs[i] = req
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := serve.OpenLoop(o.requests, serve.Staggered(1, 0, interarrival), func(i int) {
+		// Sheds and deadline misses are expected under overload; the
+		// final report accounts for every outcome.
+		s.Submit(context.Background(), reqs[i])
+	})
 
 	if err := s.Drain(context.Background()); err != nil {
 		fmt.Printf("drain: %v\n", err)
@@ -725,25 +713,13 @@ func runRouted(o *options, p pipeline.Platform, cm *edgetpu.CompiledModel, ds *d
 	}
 	fmt.Printf("serving %d requests at %.1fx capacity (%d nodes x %d workers, pace %v, interarrival %v, chaos %q, hedge %s)\n",
 		o.requests, o.load, o.nodes, len(o.fleet), o.pace, interarrival, o.chaosSpec, hedgeStr)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < o.requests; i++ {
-		if d := time.Until(start.Add(time.Duration(i) * interarrival)); d > 0 {
-			time.Sleep(d)
-		}
-		row := i % ds.Samples()
+	elapsed := serve.OpenLoop(o.requests, serve.Staggered(1, 0, interarrival), func(i int) {
 		req := o.annotate(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Sheds, deadline misses, and chaos-induced failures are all
-			// tolerated outcomes; the router report accounts for each.
-			req.Fill = rowFill(row)
-			r.Submit(context.Background(), req)
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+		req.Fill = rowFill(i % ds.Samples())
+		// Sheds, deadline misses, and chaos-induced failures are all
+		// tolerated outcomes; the router report accounts for each.
+		r.Submit(context.Background(), req)
+	})
 
 	if err := r.Drain(context.Background()); err != nil {
 		fmt.Printf("drain: %v\n", err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"hdcedge/internal/dataset"
@@ -47,19 +46,11 @@ type BatchingPoint struct {
 	Window   time.Duration
 	Load     float64 // offered load as a multiple of batch-1 capacity
 
-	Offered          int
-	Admitted         int
-	Shed             int
-	DeadlineExceeded int
-	Completed        int
-
+	LoadCounts
 	BatchInvokes  int
 	MeanOccupancy float64
 	PerSampleP50  time.Duration // simulated compute per sample row
-
-	P50           time.Duration // admitted (completed) end-to-end latency
-	P99           time.Duration
-	ThroughputRPS float64 // completions per wall-clock second
+	ThroughputRPS float64       // completions per wall-clock second
 }
 
 // BatchingResult is the full study.
@@ -220,35 +211,16 @@ func batchingCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Da
 	if err != nil {
 		return BatchingPoint{}, err
 	}
-	// Same open-loop arrival discipline as the overload sweep: absolute
-	// deadlines keep the offered rate honest against timer slack, and the
-	// first len(Fleet) arrivals are staggered out of phase. The rate is always
-	// relative to batch-1 capacity, so every MaxBatch sees the same arrivals.
+	// The rate is always relative to batch-1 capacity, so every MaxBatch
+	// sees the same arrivals.
 	workers := len(scfg.Fleet)
 	interarrival := time.Duration(float64(basePace) / (float64(workers) * load))
-	staggerGap := basePace / time.Duration(workers)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var due time.Duration
-		if i < workers {
-			due = time.Duration(i) * staggerGap
-		} else {
-			due = time.Duration(workers-1)*staggerGap + time.Duration(i-workers+1)*interarrival
-		}
-		if d := time.Until(start.Add(due)); d > 0 {
-			time.Sleep(d)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Sheds and deadline misses are expected outcomes; anything else
-			// surfaces in the report's Failed count, checked below.
-			s.Do(context.Background(), overloadFill(ds, i), nil)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	at := serve.Staggered(workers, basePace/time.Duration(workers), interarrival)
+	elapsed := serve.OpenLoop(n, at, func(i int) {
+		// Sheds and deadline misses are expected outcomes; anything else
+		// surfaces in the report's Failed count, checked below.
+		s.Do(context.Background(), overloadFill(ds, i), nil)
+	})
 	if err := s.Drain(context.Background()); err != nil {
 		return BatchingPoint{}, err
 	}
@@ -257,18 +229,12 @@ func batchingCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Da
 		return BatchingPoint{}, fmt.Errorf("%d requests failed outright", rep.Failed)
 	}
 	return BatchingPoint{
-		Load:             load,
-		Offered:          rep.Submitted,
-		Admitted:         rep.Admitted,
-		Shed:             rep.Shed(),
-		DeadlineExceeded: rep.DeadlineExceeded,
-		Completed:        rep.Completed,
-		BatchInvokes:     rep.BatchInvokes,
-		MeanOccupancy:    rep.MeanOccupancy(),
-		PerSampleP50:     rep.PerSample.Quantile(0.5),
-		P50:              rep.Latency.Quantile(0.5),
-		P99:              rep.Latency.Quantile(0.99),
-		ThroughputRPS:    float64(rep.Completed) / elapsed.Seconds(),
+		Load:          load,
+		LoadCounts:    loadCounts(rep),
+		BatchInvokes:  rep.BatchInvokes,
+		MeanOccupancy: rep.MeanOccupancy(),
+		PerSampleP50:  rep.PerSample.Quantile(0.5),
+		ThroughputRPS: float64(rep.Completed) / elapsed.Seconds(),
 	}, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"hdcedge/internal/dataset"
@@ -156,27 +155,15 @@ func chaosCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Datas
 		return ChaosPoint{}, err
 	}
 
-	// The same open-loop arrival stream for every scenario: paced against
-	// absolute deadlines (see overloadCell) at ChaosLoad x one node's
-	// capacity, so chaos changes what the fleet can absorb, not what is
-	// asked of it.
+	// The same open-loop arrival stream for every scenario, at ChaosLoad x
+	// one node's capacity, so chaos changes what the fleet can absorb, not
+	// what is asked of it.
 	interarrival := time.Duration(float64(service) / ChaosLoad)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if d := time.Until(start.Add(time.Duration(i) * interarrival)); d > 0 {
-			time.Sleep(d)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Sheds and deadline misses are tolerated outcomes under
-			// chaos; hard failures surface in the report, checked below.
-			r.Do(context.Background(), overloadFill(ds, i), nil)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := serve.OpenLoop(n, serve.Staggered(1, 0, interarrival), func(i int) {
+		// Sheds and deadline misses are tolerated outcomes under chaos;
+		// hard failures surface in the report, checked below.
+		r.Do(context.Background(), overloadFill(ds, i), nil)
+	})
 	if err := r.Drain(context.Background()); err != nil {
 		return ChaosPoint{}, err
 	}

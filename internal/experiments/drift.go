@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"hdcedge/internal/dataset"
@@ -83,10 +82,6 @@ const (
 	driftDevices = 2
 	driftService = 8 * time.Millisecond
 	driftRounds  = 5
-	// driftFeedbackEvery samples the feedback stream: 1 in N completed
-	// requests reports its ground truth (the -feedback-rate knob of
-	// cmd/hdc-serve).
-	driftFeedbackEvery = 1
 )
 
 // AblationDrift runs both cells on the same seeded shift.
@@ -233,35 +228,19 @@ func driftCell(cfg Config, name string, model *hdc.Model, train, test, shifted *
 func driftPass(s *serve.Server, tr *online.Trainer, ds *dataset.Dataset) (float64, error) {
 	n := ds.Features()
 	preds := make([]int32, ds.Samples())
-	var wg sync.WaitGroup
-	errs := make(chan error, driftDevices)
-	for c := 0; c < driftDevices; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; i < ds.Samples(); i += driftDevices {
-				row := ds.X.F32[i*n : (i+1)*n]
-				label := ds.Y[i]
-				report := i%driftFeedbackEvery == 0
-				_, err := s.Submit(context.Background(), serve.Request{
-					Fill: func(in *tensor.Tensor) { copy(in.F32, row) },
-					Consume: func(out *tensor.Tensor) {
-						preds[i] = out.I32[0]
-						if report {
-							tr.Offer(online.Feedback{Features: row, Label: label})
-						}
-					},
-				})
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	_, err := serve.ClosedLoop(driftDevices, ds.Samples(), func(i int) error {
+		row := ds.X.F32[i*n : (i+1)*n]
+		label := ds.Y[i]
+		_, err := s.Submit(context.Background(), serve.Request{
+			Fill: func(in *tensor.Tensor) { copy(in.F32, row) },
+			Consume: func(out *tensor.Tensor) {
+				preds[i] = out.I32[0]
+				tr.Offer(online.Feedback{Features: row, Label: label})
+			},
+		})
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
 	correct := 0

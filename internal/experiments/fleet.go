@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"hdcedge/internal/backend/hostcpu"
@@ -43,16 +42,9 @@ type FleetPoint struct {
 	Fleet   string // canonical composition, e.g. "tpu=2,cpu=2"
 	Workers int
 
-	Offered          int
-	Admitted         int
-	Shed             int
-	DeadlineExceeded int
-	Completed        int
-	TPURequests      int // completions served by accelerator workers
-	CPURequests      int // completions served by host-CPU workers
-
-	P50          time.Duration // admitted (completed) end-to-end latency
-	P99          time.Duration
+	LoadCounts
+	TPURequests  int     // completions served by accelerator workers
+	CPURequests  int     // completions served by host-CPU workers
 	CompletedRPS float64 // completions per wall-clock second
 }
 
@@ -112,37 +104,16 @@ func fleetCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Datas
 	if err != nil {
 		return FleetPoint{}, err
 	}
-	workers := len(scfg.Fleet)
 	// The arrival rate is paced against the reference fleet, not this cell's
-	// fleet: every composition faces the same demand. Arrivals pace against
-	// absolute deadlines so OS timer slack becomes catch-up bursts rather
-	// than silently capping the offered rate; the first arrivals are spaced
-	// across one service interval so the paced workers start out of phase
-	// (see overloadCell).
+	// fleet: every composition faces the same demand.
+	workers := len(scfg.Fleet)
 	interarrival := time.Duration(float64(scfg.PacePerInvoke) / (fleetRefWorkers * FleetLoad))
-	staggerGap := scfg.PacePerInvoke / time.Duration(workers)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var due time.Duration
-		if i < workers {
-			due = time.Duration(i) * staggerGap
-		} else {
-			due = time.Duration(workers-1)*staggerGap + time.Duration(i-workers+1)*interarrival
-		}
-		if d := time.Until(start.Add(due)); d > 0 {
-			time.Sleep(d)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Sheds and deadline misses are expected at saturation; hard
-			// failures surface in the report's Failed count, checked below.
-			s.Do(context.Background(), overloadFill(ds, i), nil)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	at := serve.Staggered(workers, scfg.PacePerInvoke/time.Duration(workers), interarrival)
+	elapsed := serve.OpenLoop(n, at, func(i int) {
+		// Sheds and deadline misses are expected at saturation; hard
+		// failures surface in the report's Failed count, checked below.
+		s.Do(context.Background(), overloadFill(ds, i), nil)
+	})
 	if err := s.Drain(context.Background()); err != nil {
 		return FleetPoint{}, err
 	}
@@ -151,16 +122,10 @@ func fleetCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Datas
 		return FleetPoint{}, fmt.Errorf("%d requests failed outright", rep.Failed)
 	}
 	pt := FleetPoint{
-		Fleet:            scfg.Fleet.String(),
-		Workers:          workers,
-		Offered:          rep.Submitted,
-		Admitted:         rep.Admitted,
-		Shed:             rep.Shed(),
-		DeadlineExceeded: rep.DeadlineExceeded,
-		Completed:        rep.Completed,
-		P50:              rep.Latency.Quantile(0.5),
-		P99:              rep.Latency.Quantile(0.99),
-		CompletedRPS:     float64(rep.Completed) / elapsed.Seconds(),
+		Fleet:        scfg.Fleet.String(),
+		Workers:      workers,
+		LoadCounts:   loadCounts(rep),
+		CompletedRPS: float64(rep.Completed) / elapsed.Seconds(),
 	}
 	if b, ok := rep.Backend(tpu.Name); ok {
 		pt.TPURequests = b.Requests

@@ -157,32 +157,23 @@ func isolationCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.D
 	if err != nil {
 		return TenantPoint{}, err
 	}
-	offer := func(tenant string, n int, interarrival time.Duration, wg *sync.WaitGroup) {
-		defer wg.Done()
-		start := time.Now()
-		var inner sync.WaitGroup
-		for i := 0; i < n; i++ {
-			if d := time.Until(start.Add(time.Duration(i) * interarrival)); d > 0 {
-				time.Sleep(d)
-			}
-			inner.Add(1)
-			go func(i int) {
-				defer inner.Done()
-				// Quota sheds are the mechanism under test, not a failure.
-				s.Submit(context.Background(), serve.Request{Tenant: tenant, Fill: overloadFill(ds, i)})
-			}(i)
-		}
-		inner.Wait()
+	offer := func(tenant string, n int, interarrival time.Duration) {
+		serve.OpenLoop(n, serve.Staggered(1, 0, interarrival), func(i int) {
+			// Quota sheds are the mechanism under test, not a failure.
+			s.Submit(context.Background(), serve.Request{Tenant: tenant, Fill: overloadFill(ds, i)})
+		})
 	}
 	perWorker := float64(mtService) / mtWorkers
 	prodGap := time.Duration(perWorker / mtProdLoad)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go offer("prod", mtProdReqs, prodGap, &wg)
 	if flood {
 		wg.Add(1)
-		go offer("batch", mtProdReqs*mtFloodMult, prodGap/mtFloodMult, &wg)
+		go func() {
+			defer wg.Done()
+			offer("batch", mtProdReqs*mtFloodMult, prodGap/mtFloodMult)
+		}()
 	}
+	offer("prod", mtProdReqs, prodGap)
 	wg.Wait()
 	if err := s.Drain(context.Background()); err != nil {
 		return TenantPoint{}, err
@@ -281,13 +272,13 @@ func memoryCell(p pipeline.Platform, reg *registry.Registry, ds *dataset.Dataset
 		return MemPoint{}, err
 	}
 	stream := mtModelStream(cfg.Seed + 99)
-	start := time.Now()
-	for i, model := range stream {
-		if _, err := s.Submit(context.Background(), serve.Request{Model: model, Fill: overloadFill(ds, i)}); err != nil {
-			return MemPoint{}, err
-		}
+	elapsed, err := serve.ClosedLoop(1, len(stream), func(i int) error {
+		_, err := s.Submit(context.Background(), serve.Request{Model: stream[i], Fill: overloadFill(ds, i)})
+		return err
+	})
+	if err != nil {
+		return MemPoint{}, err
 	}
-	elapsed := time.Since(start)
 	if err := s.Drain(context.Background()); err != nil {
 		return MemPoint{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"hdcedge/internal/dataset"
@@ -35,16 +34,36 @@ type OverloadPoint struct {
 	Load      float64 // offered load as a multiple of capacity
 	FaultRate float64
 
+	LoadCounts
+	HostFallback int
+	GoodputRPS   float64 // completions per wall-clock second
+}
+
+// LoadCounts is the admission accounting the open-loop serving sweeps
+// report. It is embedded in each sweep's point, so encoding/json writes
+// its fields as the point's own keys.
+type LoadCounts struct {
 	Offered          int
 	Admitted         int
 	Shed             int
 	DeadlineExceeded int
 	Completed        int
-	HostFallback     int
 
-	P50        time.Duration // admitted (completed) end-to-end latency
-	P99        time.Duration
-	GoodputRPS float64 // completions per wall-clock second
+	P50 time.Duration // admitted (completed) end-to-end latency
+	P99 time.Duration
+}
+
+// loadCounts reads a cell's admission accounting from its server's report.
+func loadCounts(rep serve.ServeReport) LoadCounts {
+	return LoadCounts{
+		Offered:          rep.Submitted,
+		Admitted:         rep.Admitted,
+		Shed:             rep.Shed(),
+		DeadlineExceeded: rep.DeadlineExceeded,
+		Completed:        rep.Completed,
+		P50:              rep.Latency.Quantile(0.5),
+		P99:              rep.Latency.Quantile(0.99),
+	}
 }
 
 // OverloadResult is the full study.
@@ -216,41 +235,16 @@ func overloadCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Da
 	if err != nil {
 		return OverloadPoint{}, err
 	}
-	// Capacity is one invoke per worker per service interval; offered load scales
-	// the open-loop arrival rate against that. Arrivals pace against
-	// absolute deadlines (start + i·interarrival) rather than sleeping the
-	// gap each iteration: OS timer slack then turns into small catch-up
-	// bursts instead of silently capping the offered rate, so the measured
-	// load multiple stays honest even when sleeps overshoot. The first
-	// len(Fleet) arrivals are spaced one service-fraction apart so the paced
-	// workers start out of phase: under overload each worker's cycle is
-	// exactly the service time, so an initial bunching would persist for
-	// the whole cell and stretch queue waits toward a full service interval.
+	// Capacity is one invoke per worker per service interval; offered load
+	// scales the open-loop arrival rate against that.
 	workers := len(scfg.Fleet)
 	interarrival := time.Duration(float64(scfg.PacePerInvoke) / (float64(workers) * load))
-	staggerGap := scfg.PacePerInvoke / time.Duration(workers)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		var due time.Duration
-		if i < workers {
-			due = time.Duration(i) * staggerGap
-		} else {
-			due = time.Duration(workers-1)*staggerGap + time.Duration(i-workers+1)*interarrival
-		}
-		if d := time.Until(start.Add(due)); d > 0 {
-			time.Sleep(d)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Sheds and deadline misses are expected outcomes here; anything
-			// else surfaces in the report's Failed count, checked below.
-			s.Do(context.Background(), overloadFill(ds, i), nil)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	at := serve.Staggered(workers, scfg.PacePerInvoke/time.Duration(workers), interarrival)
+	elapsed := serve.OpenLoop(n, at, func(i int) {
+		// Sheds and deadline misses are expected outcomes here; anything
+		// else surfaces in the report's Failed count, checked below.
+		s.Do(context.Background(), overloadFill(ds, i), nil)
+	})
 	if err := s.Drain(context.Background()); err != nil {
 		return OverloadPoint{}, err
 	}
@@ -259,17 +253,11 @@ func overloadCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Da
 		return OverloadPoint{}, fmt.Errorf("%d requests failed outright", rep.Failed)
 	}
 	return OverloadPoint{
-		Load:             load,
-		FaultRate:        fault,
-		Offered:          rep.Submitted,
-		Admitted:         rep.Admitted,
-		Shed:             rep.Shed(),
-		DeadlineExceeded: rep.DeadlineExceeded,
-		Completed:        rep.Completed,
-		HostFallback:     rep.HostFallback,
-		P50:              rep.Latency.Quantile(0.5),
-		P99:              rep.Latency.Quantile(0.99),
-		GoodputRPS:       float64(rep.Completed) / elapsed.Seconds(),
+		Load:         load,
+		FaultRate:    fault,
+		LoadCounts:   loadCounts(rep),
+		HostFallback: rep.HostFallback,
+		GoodputRPS:   float64(rep.Completed) / elapsed.Seconds(),
 	}, nil
 }
 

@@ -175,13 +175,13 @@ func seuCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Dataset
 	defer s.Close()
 
 	pt := SEUPoint{Scenario: name, Rate: rate, Requests: SEURequests}
-	for i := 0; i < SEURequests; i++ {
+	_, err = serve.ClosedLoop(1, SEURequests, func(i int) error {
 		row := i % ds.Samples()
 		pred := -1
 		if _, err := s.Do(context.Background(), overloadFill(ds, i), func(out *tensor.Tensor) {
 			pred = int(out.I32[0])
 		}); err != nil {
-			return SEUPoint{}, fmt.Errorf("request %d: %w", i, err)
+			return fmt.Errorf("request %d: %w", i, err)
 		}
 		if pred == ds.Y[row] {
 			pt.Correct++
@@ -191,6 +191,10 @@ func seuCell(p pipeline.Platform, cm *edgetpu.CompiledModel, ds *dataset.Dataset
 		if i%16 == 15 {
 			time.Sleep(300 * time.Microsecond)
 		}
+		return nil
+	})
+	if err != nil {
+		return SEUPoint{}, err
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		return SEUPoint{}, fmt.Errorf("drain: %w", err)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -157,20 +156,9 @@ func measureFleetBench(t *testing.T, p pipeline.Platform, cm *edgetpu.CompiledMo
 		t.Fatal(err)
 	}
 	interarrival := service / time.Duration(2*len(fleet)) // 2x fleet capacity
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if d := time.Until(start.Add(time.Duration(i) * interarrival)); d > 0 {
-			time.Sleep(d)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.Do(context.Background(), benchFill(ds.X, 1), nil) // sheds are expected at 2x
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := OpenLoop(n, Staggered(1, 0, interarrival), func(int) {
+		s.Do(context.Background(), benchFill(ds.X, 1), nil) // sheds are expected at 2x
+	})
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -237,22 +225,10 @@ func measureTenantBench(t *testing.T, p pipeline.Platform, cm *edgetpu.CompiledM
 		t.Fatal(err)
 	}
 	interarrival := service / 8 // both tenants together offer 4x capacity
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 2*n; i++ {
-		if d := time.Until(start.Add(time.Duration(i) * interarrival)); d > 0 {
-			time.Sleep(d)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tenant := tenants[i%2].Name
-			// Quota sheds are the point of the saturation.
-			s.Submit(context.Background(), Request{Tenant: tenant, Fill: benchFill(ds.X, 1)})
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := OpenLoop(2*n, Staggered(1, 0, interarrival), func(i int) {
+		// Quota sheds are the point of the saturation.
+		s.Submit(context.Background(), Request{Tenant: tenants[i%2].Name, Fill: benchFill(ds.X, 1)})
+	})
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}

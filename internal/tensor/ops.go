@@ -246,20 +246,6 @@ func ArgMax(xs []float32) int {
 	return best
 }
 
-// ArgMaxI32 returns the index of the largest element of an int32 slice.
-func ArgMaxI32(xs []int32) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Scale multiplies a float tensor by alpha in place.
 func Scale(t *Tensor, alpha float32) {
 	if t.DType != Float32 {
@@ -295,32 +281,6 @@ func HStack(ts ...*Tensor) *Tensor {
 			copy(out.F32[r*cols+off:r*cols+off+c], t.F32[r*c:(r+1)*c])
 		}
 		off += c
-	}
-	return out
-}
-
-// VStack concatenates 2-D float tensors vertically (equal column counts).
-// It is the bagging fusion primitive for class-hypervector matrices.
-func VStack(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: VStack of nothing")
-	}
-	cols := ts[0].Shape[1]
-	rows := 0
-	for _, t := range ts {
-		if t.DType != Float32 || len(t.Shape) != 2 {
-			panic("tensor: VStack requires 2-D float tensors")
-		}
-		if t.Shape[1] != cols {
-			panic("tensor: VStack column mismatch")
-		}
-		rows += t.Shape[0]
-	}
-	out := New(Float32, rows, cols)
-	off := 0
-	for _, t := range ts {
-		copy(out.F32[off:off+len(t.F32)], t.F32)
-		off += len(t.F32)
 	}
 	return out
 }

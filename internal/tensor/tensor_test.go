@@ -295,9 +295,6 @@ func TestArgMax(t *testing.T) {
 	if i := ArgMax(nil); i != -1 {
 		t.Errorf("empty ArgMax = %d", i)
 	}
-	if i := ArgMaxI32([]int32{-3, -1, -2}); i != 1 {
-		t.Errorf("ArgMaxI32 = %d", i)
-	}
 }
 
 func TestHStack(t *testing.T) {
@@ -312,18 +309,6 @@ func TestHStack(t *testing.T) {
 		if s.F32[i] != w {
 			t.Fatalf("s[%d] = %v, want %v", i, s.F32[i], w)
 		}
-	}
-}
-
-func TestVStack(t *testing.T) {
-	a := FromFloat32([]float32{1, 2, 3, 4}, 2, 2)
-	b := FromFloat32([]float32{5, 6}, 1, 2)
-	s := VStack(a, b)
-	if !s.Shape.Equal(Shape{3, 2}) {
-		t.Fatalf("shape %v", s.Shape)
-	}
-	if s.F32[4] != 5 || s.F32[5] != 6 {
-		t.Fatalf("VStack = %v", s.F32)
 	}
 }
 
