@@ -107,13 +107,15 @@ binhd-smoke:
 # re-setup on top of the device's own weight streaming. The coalescer's
 # mixed-deadline scenario repeats 20 times because a consume callback racing
 # a deadline (the worker must win a request before writing the caller's
-# output) shows up in only about one run in a hundred or more. Fast enough
-# for every `make test`.
+# output) shows up in only about one run in a hundred or more. The
+# Submit-then-Report counting check repeats 20 times too: a request counted
+# after its delivery shows up in only some runs under the race detector.
+# Fast enough for every `make test`.
 tenant-smoke:
 	$(GO) test -race -count=1 \
 		-run 'TestSchedulerWeightedFairShares|TestSchedulerStrictPriority|TestServeTenantQuotaShed|TestServeTenantSnapshotMonotone|TestServeMultiModelDispatchAndSwapBilling|TestServeHotSwapInvalidatesBind|TestServeEvictionDeterministic|TestServeRegistrySingleModelBitIdentical' \
 		./internal/serve/
-	$(GO) test -race -count=20 -run 'TestServeBatchConcurrentMixedDeadlines' ./internal/serve/
+	$(GO) test -race -count=20 -run 'TestServeBatchConcurrentMixedDeadlines|TestServeReportCountsBeforeDelivery' ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestRegisterNonResidentModelBillsBlobOnly' ./internal/registry/
 
 # The online-learning loop under the race detector: the feedback trainer's

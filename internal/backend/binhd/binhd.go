@@ -25,7 +25,6 @@ import (
 	"hdcedge/internal/backend"
 	"hdcedge/internal/cpuarch"
 	"hdcedge/internal/hdc"
-	"hdcedge/internal/metrics"
 	"hdcedge/internal/tensor"
 )
 
@@ -69,10 +68,6 @@ type Backend struct {
 	runRows    int
 	encodeFn   func(lo, hi int)
 	classifyFn func(lo, hi int)
-
-	// Live telemetry handles; nil until Instrument is called.
-	liveInvokes *metrics.Counter
-	liveSim     *metrics.LiveHistogram
 }
 
 // New builds a backend serving bm at the given batch capacity, priced by
@@ -125,29 +120,6 @@ func (b *Backend) Caps() backend.Caps {
 
 // Model returns the served bipolar model.
 func (b *Backend) Model() *hdc.BipolarModel { return b.bm }
-
-// Instrument streams per-invoke telemetry into reg, mirroring the other
-// backends: an attempt counter and a histogram of simulated invoke time.
-func (b *Backend) Instrument(reg *metrics.Registry, labels string) {
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	b.liveInvokes = reg.Counter("hdc_backend_invokes_total" + suffix)
-	b.liveSim = reg.Histogram("hdc_backend_invoke_sim_seconds" + suffix)
-}
-
-// observe records one invoke attempt in the live telemetry (when armed)
-// and passes the result through unchanged.
-func (b *Backend) observe(t backend.Timing, err error) (backend.Timing, error) {
-	if b.liveInvokes != nil {
-		b.liveInvokes.Inc()
-		if err == nil {
-			b.liveSim.Observe(t.Total())
-		}
-	}
-	return t, err
-}
 
 // Input implements backend.Backend.
 func (b *Backend) Input(i int) *tensor.Tensor {
@@ -209,7 +181,7 @@ func (b *Backend) InvokeBatch(rows int) (backend.Timing, error) {
 		eff = b.capacity
 	}
 	b.run(eff)
-	return b.observe(backend.Timing{HostFallback: b.price(rows)}, nil)
+	return backend.Timing{HostFallback: b.price(rows)}, nil
 }
 
 // Reset implements backend.Backend. The packed class words are immutable

@@ -8,7 +8,6 @@ import (
 	"hdcedge/internal/cpuarch"
 	"hdcedge/internal/dataset"
 	"hdcedge/internal/hdc"
-	"hdcedge/internal/metrics"
 	"hdcedge/internal/rng"
 	"hdcedge/internal/tensor"
 )
@@ -277,24 +276,6 @@ func TestPricing(t *testing.T) {
 		if tm != full {
 			t.Fatalf("InvokeBatch(%d) = %+v, want full-batch %+v", rows, tm, full)
 		}
-	}
-}
-
-// TestInstrument: live counters must record invokes and simulated time.
-func TestInstrument(t *testing.T) {
-	b, _, ds := fixture(t, 16, 256, 3, 4)
-	reg := metrics.NewRegistry()
-	b.Instrument(reg, `backend="bin"`)
-	copy(b.Input(0).F32, ds.X.F32[:4*16])
-	for i := 0; i < 3; i++ {
-		if _, err := b.InvokeBatch(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := reg.Snapshot()
-	name := `hdc_backend_invokes_total{backend="bin"}`
-	if got := snap.Counters[name]; got != 3 {
-		t.Fatalf("%s = %d, want 3 (counters: %v)", name, got, snap.Counters)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"hdcedge/internal/backend"
 	"hdcedge/internal/cpuarch"
-	"hdcedge/internal/metrics"
 	"hdcedge/internal/tensor"
 	"hdcedge/internal/tflite"
 )
@@ -40,10 +39,6 @@ type Backend struct {
 	m      *tflite.Model
 	interp *tflite.Interpreter
 	times  map[timeKey]time.Duration
-
-	// Live telemetry handles; nil until Instrument is called.
-	liveInvokes *metrics.Counter
-	liveSim     *metrics.LiveHistogram
 }
 
 // New builds an interpreter for m priced by host.
@@ -83,32 +78,6 @@ func (b *Backend) Caps() backend.Caps {
 // Model returns the loaded model.
 func (b *Backend) Model() *tflite.Model { return b.m }
 
-// Instrument streams per-invoke telemetry into reg: an attempt counter and
-// a histogram of simulated invoke time for successful attempts. labels is
-// an inline Prometheus label set (e.g. `worker="1",backend="cpu"`) appended
-// to each metric name so a fleet of backends shares one registry without
-// colliding.
-func (b *Backend) Instrument(reg *metrics.Registry, labels string) {
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	b.liveInvokes = reg.Counter("hdc_backend_invokes_total" + suffix)
-	b.liveSim = reg.Histogram("hdc_backend_invoke_sim_seconds" + suffix)
-}
-
-// observe records one invoke attempt in the live telemetry (when armed) and
-// passes the result through unchanged.
-func (b *Backend) observe(t backend.Timing, err error) (backend.Timing, error) {
-	if b.liveInvokes != nil {
-		b.liveInvokes.Inc()
-		if err == nil {
-			b.liveSim.Observe(t.Total())
-		}
-	}
-	return t, err
-}
-
 // Input implements backend.Backend.
 func (b *Backend) Input(i int) *tensor.Tensor { return b.interp.Input(i) }
 
@@ -140,10 +109,6 @@ func (b *Backend) price(rows int) time.Duration {
 // occupied row prefix and the invoke is priced into the HostFallback phase
 // at the effective batch.
 func (b *Backend) InvokeBatch(rows int) (backend.Timing, error) {
-	return b.observe(b.invokeBatch(rows))
-}
-
-func (b *Backend) invokeBatch(rows int) (backend.Timing, error) {
 	rows = b.normRows(rows)
 	if rows > 0 && !b.m.RowSliceable() {
 		return backend.Timing{}, fmt.Errorf("hostcpu: model %q is not row-sliceable; cannot invoke %d of %d rows",

@@ -10,7 +10,6 @@ import (
 
 	"hdcedge/internal/backend"
 	"hdcedge/internal/edgetpu"
-	"hdcedge/internal/metrics"
 	"hdcedge/internal/tensor"
 )
 
@@ -22,10 +21,6 @@ const Name = "tpu"
 type Backend struct {
 	dev *edgetpu.Device
 	cm  *edgetpu.CompiledModel
-
-	// Live telemetry handles; nil until Instrument is called.
-	liveInvokes *metrics.Counter
-	liveSim     *metrics.LiveHistogram
 
 	// SetupTime is the initial LoadModel cost (model transfer plus, for
 	// resident models, the parameter upload).
@@ -59,32 +54,6 @@ func (b *Backend) Caps() backend.Caps {
 	}
 }
 
-// Instrument streams per-invoke telemetry into reg: an attempt counter and
-// a histogram of simulated invoke time for successful attempts. labels is
-// an inline Prometheus label set (e.g. `worker="0",backend="tpu"`) appended
-// to each metric name so a fleet of backends shares one registry without
-// colliding.
-func (b *Backend) Instrument(reg *metrics.Registry, labels string) {
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	b.liveInvokes = reg.Counter("hdc_backend_invokes_total" + suffix)
-	b.liveSim = reg.Histogram("hdc_backend_invoke_sim_seconds" + suffix)
-}
-
-// observe records one invoke attempt in the live telemetry (when armed) and
-// passes the result through unchanged.
-func (b *Backend) observe(t backend.Timing, err error) (backend.Timing, error) {
-	if b.liveInvokes != nil {
-		b.liveInvokes.Inc()
-		if err == nil {
-			b.liveSim.Observe(t.Total())
-		}
-	}
-	return t, err
-}
-
 // Device exposes the wrapped simulator device (for tests and fault-stat
 // readers).
 func (b *Backend) Device() *edgetpu.Device { return b.dev }
@@ -100,7 +69,7 @@ func (b *Backend) Output(i int) *tensor.Tensor { return b.dev.Output(i) }
 
 // InvokeBatch implements backend.Backend.
 func (b *Backend) InvokeBatch(rows int) (backend.Timing, error) {
-	return b.observe(b.dev.InvokeBatch(rows))
+	return b.dev.InvokeBatch(rows)
 }
 
 // Reset re-loads the compiled model, clearing a reset or poisoned device

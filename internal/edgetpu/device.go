@@ -153,11 +153,12 @@ func (d *Device) EstimateInvokeBatch(rows int) (Timing, error) {
 // EstimateInvoke. execute selects functional execution (kernels run, faults
 // inject) versus pure estimation; both price every op from the model's
 // shapes, so an estimate equals the invoke it stands for. trace
-// additionally collects per-op traces. rows limits execution and pricing to
-// the first rows sample rows of the batch; rows <= 0 (or >= the compiled
-// batch capacity) is a full invoke and takes exactly the unscaled
-// arithmetic, so the full path stays bit-identical to the pre-batching
-// runtime.
+// additionally collects per-op traces; an attached profiler turns tracing
+// on for every executed invoke and records each one that succeeds. rows
+// limits execution and pricing to the first rows sample rows of the batch;
+// rows <= 0 (or >= the compiled batch capacity) is a full invoke and takes
+// exactly the unscaled arithmetic, so the full path stays bit-identical to
+// the pre-batching runtime.
 func (d *Device) run(execute, trace bool, rows int) (Timing, []OpTrace, error) {
 	if d.loaded == nil {
 		return Timing{}, nil, ErrNoModel
@@ -166,6 +167,8 @@ func (d *Device) run(execute, trace bool, rows int) (Timing, []OpTrace, error) {
 		return Timing{}, nil, ErrPoisoned
 	}
 	cm := d.loaded
+	profile := execute && d.profiler != nil
+	trace = trace || profile
 	capacity := cm.BatchCapacity()
 	partial := rows > 0 && rows < capacity
 	if partial && !cm.Model.RowSliceable() {
@@ -281,6 +284,9 @@ func (d *Device) run(execute, trace bool, rows int) (Timing, []OpTrace, error) {
 			}
 		}
 		t.TransferOut = d.cfg.transferTime(outBytes)
+	}
+	if profile {
+		d.profiler.record(traces)
 	}
 	return t, traces, nil
 }

@@ -77,21 +77,19 @@ func (p *Profiler) Report(cfg Config) string {
 }
 
 // InvokeProfiled executes the loaded model like Invoke and additionally
-// returns the per-op trace of this invocation; when the device has an
-// attached profiler the trace is folded in.
+// returns the per-op trace of this invocation. An attached profiler records
+// it, as it records every executed invoke.
 func (d *Device) InvokeProfiled() (Timing, []OpTrace, error) {
 	t, traces, err := d.run(true, true, 0)
 	if err != nil {
 		return t, nil, err
 	}
-	if d.profiler != nil {
-		d.profiler.record(traces)
-	}
 	return t, traces, nil
 }
 
-// AttachProfiler starts accumulating per-op traces from InvokeProfiled
-// calls; it returns the profiler for reporting.
+// AttachProfiler starts accumulating per-op traces from every executed
+// invoke of the device (Invoke, InvokeBatch and InvokeProfiled alike;
+// estimates are not recorded); it returns the profiler for reporting.
 func (d *Device) AttachProfiler() *Profiler {
 	d.profiler = NewProfiler()
 	return d.profiler

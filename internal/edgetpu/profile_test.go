@@ -77,6 +77,46 @@ func TestProfilerAggregation(t *testing.T) {
 	}
 }
 
+// TestProfilerRecordsEveryExecutedInvoke: an attached profiler records
+// Invoke, InvokeBatch (full and partial) and InvokeProfiled alike, and no
+// estimate; its summed cycles equal the executed invokes' cycles.
+func TestProfilerRecordsEveryExecutedInvoke(t *testing.T) {
+	dev, cm, _ := loadedDevice(t, 4, 16, 128, 3)
+	if !cm.Model.RowSliceable() {
+		t.Fatal("fixture model is not row-sliceable")
+	}
+	prof := dev.AttachProfiler()
+	var cycles uint64
+	for _, invoke := range []func() (Timing, error){
+		dev.Invoke,
+		func() (Timing, error) { return dev.InvokeBatch(0) },
+		func() (Timing, error) { return dev.InvokeBatch(1) },
+		func() (Timing, error) { tm, _, err := dev.InvokeProfiled(); return tm, err },
+	} {
+		tm, err := invoke()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles += tm.Cycles
+	}
+	if _, err := dev.EstimateInvoke(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.EstimateInvokeBatch(2); err != nil {
+		t.Fatal(err)
+	}
+	if prof.Invocations != 4 {
+		t.Fatalf("profiler saw %d invocations, want the 4 executed ones", prof.Invocations)
+	}
+	var got uint64
+	for _, tr := range prof.Ops {
+		got += tr.Cycles
+	}
+	if got != cycles {
+		t.Fatalf("profiled cycles %d, executed invokes %d", got, cycles)
+	}
+}
+
 func TestInvokeProfiledWithoutModel(t *testing.T) {
 	dev := NewDevice(DefaultUSB())
 	if _, _, err := dev.InvokeProfiled(); err == nil {

@@ -1,15 +1,8 @@
 package hdc
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 	"math/bits"
-	"os"
 
 	"hdcedge/internal/tensor"
 )
@@ -146,139 +139,4 @@ func (bm *BipolarModel) PredictBatch(x *tensor.Tensor) []int {
 		out[i] = bm.ClassifyPacked(packSigns(enc.Row(i)))
 	}
 	return out
-}
-
-// Save writes the bipolar model (packed classes plus the float encoder it
-// shares with the source model) in a compact binary format: magic "HDB1",
-// nonlinear u8, n u32, d u32, k u32, base [n*d]f32, packed class words
-// [k * ceil(d/64)]u64, sealed by the same "HCRC" CRC32 integrity footer
-// the float container uses (see save.go).
-func (bm *BipolarModel) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	h := crc32.NewIEEE()
-	w := bufio.NewWriter(io.MultiWriter(f, h))
-	w.WriteString(bipolarMagic)
-	if bm.Encoder.Nonlinear {
-		w.WriteByte(1)
-	} else {
-		w.WriteByte(0)
-	}
-	putU32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		w.Write(b[:])
-	}
-	putU32(uint32(bm.Encoder.Features()))
-	putU32(uint32(bm.Dim))
-	putU32(uint32(bm.K()))
-	for _, v := range bm.Encoder.Base.F32 {
-		putU32(math.Float32bits(v))
-	}
-	var b8 [8]byte
-	for _, words := range bm.Words {
-		for _, word := range words {
-			binary.LittleEndian.PutUint64(b8[:], word)
-			w.Write(b8[:])
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("hdc: writing %s: %w", path, err)
-	}
-	return sealAndClose(f, h.Sum32())
-}
-
-// bipolarMagic marks a BipolarModel container.
-const bipolarMagic = "HDB1"
-
-// LoadBipolarModel reads a model written by BipolarModel.Save. The "HCRC"
-// footer must be present and match the payload (see unseal). The header
-// dims bound every allocation — the payload must hold exactly n·d base
-// floats plus k·ceil(d/64) packed words, and any bytes left over after the
-// model are an error.
-func LoadBipolarModel(path string) (*BipolarModel, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := unseal(path, raw)
-	if err != nil {
-		return nil, err
-	}
-	src := bytes.NewReader(payload)
-	r := bufio.NewReader(src)
-	var mg [4]byte
-	if _, err := io.ReadFull(r, mg[:]); err != nil {
-		return nil, err
-	}
-	if string(mg[:]) != bipolarMagic {
-		return nil, fmt.Errorf("hdc: bad bipolar magic %q in %s", mg, path)
-	}
-	nl, err := r.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	getU32 := func() (uint32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
-	n, err := getU32()
-	if err != nil {
-		return nil, err
-	}
-	d, err := getU32()
-	if err != nil {
-		return nil, err
-	}
-	k, err := getU32()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || d == 0 || k < 2 || n > 1<<20 || d > 1<<24 || k > 1<<16 {
-		return nil, fmt.Errorf("hdc: implausible bipolar dims n=%d d=%d k=%d", n, d, k)
-	}
-	// Validate the payload length against the header before allocating:
-	// a truncated or padded file fails here with exact numbers instead of
-	// allocating n·d floats and failing mid-parse (or worse, accepting
-	// trailing garbage).
-	const headerLen = len(bipolarMagic) + 1 + 3*4
-	wpv := wordsPerVector(int(d))
-	wantBody := 4*int64(n)*int64(d) + 8*int64(k)*int64(wpv)
-	if gotBody := int64(len(payload)) - int64(headerLen); gotBody != wantBody {
-		return nil, fmt.Errorf("hdc: bipolar payload %d bytes in %s, want %d for n=%d d=%d k=%d",
-			gotBody, path, wantBody, n, d, k)
-	}
-	base := tensor.New(tensor.Float32, int(n), int(d))
-	for i := range base.F32 {
-		bits, err := getU32()
-		if err != nil {
-			return nil, err
-		}
-		base.F32[i] = math.Float32frombits(bits)
-	}
-	bm := &BipolarModel{
-		Encoder: &Encoder{Base: base, Nonlinear: nl == 1},
-		Dim:     int(d),
-		Words:   make([][]uint64, k),
-	}
-	var b8 [8]byte
-	for c := range bm.Words {
-		bm.Words[c] = make([]uint64, wpv)
-		for wdx := range bm.Words[c] {
-			if _, err := io.ReadFull(r, b8[:]); err != nil {
-				return nil, err
-			}
-			bm.Words[c][wdx] = binary.LittleEndian.Uint64(b8[:])
-		}
-	}
-	if rest := src.Len() + r.Buffered(); rest != 0 {
-		return nil, fmt.Errorf("hdc: %d trailing bytes after bipolar model in %s", rest, path)
-	}
-	return bm, nil
 }

@@ -1,11 +1,6 @@
 package hdc
 
 import (
-	"encoding/binary"
-	"errors"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,174 +122,6 @@ func min(a, b int) int {
 	return b
 }
 
-func TestBipolarSaveLoad(t *testing.T) {
-	train, test := synthTrainTest(t, 16, 600, 3, 702)
-	m, _, err := Train(train, nil, TrainConfig{Dim: 512, Epochs: 4, LearningRate: 1, Nonlinear: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm := m.Binarize()
-	path := filepath.Join(t.TempDir(), "model.hdb")
-	if err := bm.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadBipolarModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dim != bm.Dim || got.K() != bm.K() {
-		t.Fatal("dims changed in round trip")
-	}
-	for i := 0; i < 40; i++ {
-		if got.Predict(test.X.Row(i)) != bm.Predict(test.X.Row(i)) {
-			t.Fatalf("reloaded bipolar model diverges at %d", i)
-		}
-	}
-}
-
-func TestLoadBipolarRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "junk.hdb")
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBipolarModel(path); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-// trainedBipolar builds a small deterministic bipolar model for the
-// container tests.
-func trainedBipolar(t testing.TB, dim int) *BipolarModel {
-	t.Helper()
-	train, _ := synthTrainTest(t, 12, 400, 3, 703)
-	m, _, err := Train(train, nil, TrainConfig{Dim: dim, Epochs: 2, LearningRate: 1, Nonlinear: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m.Binarize()
-}
-
-// TestBipolarSaveFooter covers the integrity seal end to end: a saved file
-// carries the "HCRC" footer, corruption anywhere in the payload or footer
-// is a *ChecksumError, a file without the footer is rejected even when its
-// payload is intact, and trailing bytes are rejected.
-func TestBipolarSaveFooter(t *testing.T) {
-	bm := trainedBipolar(t, 192)
-	dir := t.TempDir()
-	sealed := filepath.Join(dir, "model.hdb")
-	if err := bm.Save(sealed); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw[len(raw)-8:len(raw)-4]) != "HCRC" {
-		t.Fatalf("saved bipolar file lacks the HCRC integrity footer")
-	}
-
-	cases := []struct {
-		name    string
-		mutate  func([]byte) []byte
-		wantCRC bool // expect *ChecksumError specifically
-		wantErr bool
-	}{
-		{"intact", func(b []byte) []byte { return b }, false, false},
-		{"legacy-footerless", func(b []byte) []byte { return b[:len(b)-8] }, false, true},
-		{"payload-flip", func(b []byte) []byte { b[9] ^= 0x40; return b }, true, true},
-		// A flipped class bit under a cut footer: the payload still parses,
-		// so only the missing footer can give it away.
-		{"word-flip-footerless", func(b []byte) []byte { b[len(b)-9] ^= 0x01; return b[:len(b)-8] }, false, true},
-		{"footer-flip", func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, true, true},
-		{"trailing-after-footer", func(b []byte) []byte { return append(b, 0xEE) }, false, true},
-		{"trailing-after-legacy", func(b []byte) []byte { return append(b[:len(b)-8], 0xEE, 0xEE) }, false, true},
-		{"truncated-payload", func(b []byte) []byte { return b[:len(b)-64] }, false, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			buf := append([]byte(nil), raw...)
-			path := filepath.Join(dir, tc.name+".hdb")
-			if err := os.WriteFile(path, tc.mutate(buf), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			got, err := LoadBipolarModel(path)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("corrupted, padded or footerless file accepted")
-				}
-				var ce *ChecksumError
-				if tc.wantCRC && !errors.As(err, &ce) {
-					t.Fatalf("error %v (%T) is not a *ChecksumError", err, err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Dim != bm.Dim || got.K() != bm.K() {
-				t.Fatal("round trip changed dims")
-			}
-			for c := range bm.Words {
-				for w := range bm.Words[c] {
-					if got.Words[c][w] != bm.Words[c][w] {
-						t.Fatalf("class %d word %d changed in round trip", c, w)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestLoadBipolarRejectsLengthMismatch: the words-per-vector payload check
-// fires before any n·d allocation happens, with exact numbers in the error.
-func TestLoadBipolarRejectsLengthMismatch(t *testing.T) {
-	bm := trainedBipolar(t, 128)
-	path := filepath.Join(t.TempDir(), "model.hdb")
-	if err := bm.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := raw[:len(raw)-8]
-	// Reseal each cut or padded payload so only the length check can fire.
-	resealed := func(name string, body []byte) error {
-		bad := filepath.Join(t.TempDir(), name+".hdb")
-		if err := os.WriteFile(bad, withFooter(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := LoadBipolarModel(bad)
-		return err
-	}
-	for _, cut := range []int{1, 7, 8, 64} {
-		err := resealed("cut", payload[:len(payload)-cut])
-		if err == nil || !strings.Contains(err.Error(), "bipolar payload") {
-			t.Fatalf("payload short by %d bytes: got %v, want the length error", cut, err)
-		}
-	}
-	for _, pad := range []int{1, 8} {
-		body := append(append([]byte(nil), payload...), make([]byte, pad)...)
-		err := resealed("padded", body)
-		if err == nil || !strings.Contains(err.Error(), "bipolar payload") {
-			t.Fatalf("payload padded by %d bytes: got %v, want the length error", pad, err)
-		}
-	}
-	// A header that advertises a huge model over a tiny payload must be
-	// rejected by the length check, not attempted.
-	head := append([]byte(nil), payload[:17]...)
-	binary.LittleEndian.PutUint32(head[5:9], 1<<20)   // n
-	binary.LittleEndian.PutUint32(head[9:13], 1<<24)  // d
-	binary.LittleEndian.PutUint32(head[13:17], 1<<16) // k
-	huge := filepath.Join(t.TempDir(), "huge.hdb")
-	if err := os.WriteFile(huge, withFooter(head), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBipolarModel(huge); err == nil || !strings.Contains(err.Error(), "bipolar payload") {
-		t.Fatalf("huge-header tiny-payload file: got %v, want the length error", err)
-	}
-}
-
 // TestPackSignsTailWord: when Dim % 64 != 0, stray high bits in the last
 // word must never change similarity — PackSignsInto clears them, and
 // hammingAgreement masks them even if a caller left them set.
@@ -372,72 +199,4 @@ func TestBipolarPackedVsFloatPredict(t *testing.T) {
 			}
 		}
 	}
-}
-
-// FuzzLoadBipolarModel: arbitrary bytes must either parse into a model
-// that saves and reloads identically, or fail cleanly — never panic or
-// over-allocate on a lying header. Each input is loaded twice: as given,
-// where only a file ending in its footer may load, and resealed with a
-// valid footer, so the header, length and allocation checks behind the
-// checksum are fuzzed too (a CRC32 footer does not vouch for its writer).
-func FuzzLoadBipolarModel(f *testing.F) {
-	dir := f.TempDir()
-	seedModel := func(dim int) []byte {
-		train, _ := synthTrainTest(f, 8, 120, 3, 704)
-		m, _, err := Train(train, nil, TrainConfig{Dim: dim, Epochs: 1, LearningRate: 1, Nonlinear: true, Seed: 5})
-		if err != nil {
-			f.Fatal(err)
-		}
-		path := filepath.Join(dir, "seed.hdb")
-		if err := m.Binarize().Save(path); err != nil {
-			f.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return raw
-	}
-	sealed := seedModel(96)
-	payload := sealed[:len(sealed)-8]
-	lying := append([]byte(nil), payload[:17]...)
-	binary.LittleEndian.PutUint32(lying[5:9], 1<<20)   // n
-	binary.LittleEndian.PutUint32(lying[9:13], 1<<24)  // d
-	binary.LittleEndian.PutUint32(lying[13:17], 1<<16) // k
-	f.Add(sealed)
-	f.Add(payload) // footerless: rejected as given, parses resealed
-	f.Add(append(append([]byte(nil), payload...), 0xEE))
-	f.Add(lying)
-	f.Add(sealed[:9])
-	f.Add([]byte("HDB1"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		load := func(raw []byte) *BipolarModel {
-			path := filepath.Join(t.TempDir(), "fuzz.hdb")
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
-				t.Skip()
-			}
-			bm, err := LoadBipolarModel(path)
-			if err != nil {
-				return nil
-			}
-			// Anything that parses must re-save and reload bit-identically.
-			again := filepath.Join(t.TempDir(), "again.hdb")
-			if err := bm.Save(again); err != nil {
-				t.Fatalf("parsed model fails to save: %v", err)
-			}
-			back, err := LoadBipolarModel(again)
-			if err != nil {
-				t.Fatalf("re-saved model fails to load: %v", err)
-			}
-			if back.Dim != bm.Dim || back.K() != bm.K() {
-				t.Fatal("round trip changed dims")
-			}
-			return bm
-		}
-		if load(data) != nil && (len(data) < crcFooterLen || string(data[len(data)-crcFooterLen:len(data)-4]) != crcMagic) {
-			t.Fatal("input without the integrity footer accepted")
-		}
-		load(withFooter(data))
-	})
 }

@@ -125,11 +125,13 @@ func TestInferOnDeviceProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, timing, prof, err := InferOnDeviceProfiled(EdgeTPU(), model, test, train, 16)
+	// A batch that does not divide the test set, so the last invoke pads.
+	const batch = 24
+	preds, timing, prof, err := InferOnDeviceProfiled(EdgeTPU(), model, test, train, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, plainTiming, err := InferOnDevice(EdgeTPU(), model, test, train, 16)
+	plain, plainTiming, err := InferOnDevice(EdgeTPU(), model, test, train, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,15 @@ func TestInferOnDeviceProfiled(t *testing.T) {
 	if timing != plainTiming {
 		t.Fatalf("profiled timing differs: %+v vs %+v", timing, plainTiming)
 	}
-	if prof == nil || prof.Invocations == 0 {
-		t.Fatal("no profile accumulated")
+	if batches := (test.Samples() + batch - 1) / batch; prof.Invocations != batches {
+		t.Fatalf("profile holds %d invocations, want one per batch (%d)", prof.Invocations, batches)
+	}
+	var cycles, macs uint64
+	for _, op := range prof.Ops {
+		cycles += op.Cycles
+		macs += op.MACs
+	}
+	if cycles != timing.Cycles || macs != timing.MACs {
+		t.Fatalf("profile sums %d cycles, %d MACs; timing has %d, %d", cycles, macs, timing.Cycles, timing.MACs)
 	}
 }

@@ -285,11 +285,17 @@ type runnerMetrics struct {
 	probeSuccesses, probeReTrips    *metrics.Counter
 	breakerTransitions              *metrics.Counter
 	breakerState                    *metrics.Gauge
+
+	// backendInvokes and backendSim record every attempt on the primary
+	// backend, and the simulated time of each one that succeeds.
+	backendInvokes *metrics.Counter
+	backendSim     *metrics.LiveHistogram
 }
 
 // Instrument streams the runner's reliability events — invokes, retries,
 // faults, reloads, host fallbacks, and every breaker state transition —
-// into reg as they happen. labels is an inline Prometheus label set
+// into reg as they happen, together with the primary backend's per-attempt
+// telemetry (hdc_backend_invokes_total, hdc_backend_invoke_sim_seconds). labels is an inline Prometheus label set
 // (e.g. `worker="0",backend="tpu"`) appended to every metric name so a
 // fleet of runners shares one registry without colliding. Call before the
 // first invoke; the runner itself stays single-goroutine.
@@ -313,6 +319,8 @@ func (r *ResilientRunner) Instrument(reg *metrics.Registry, labels string) {
 		probeReTrips:       reg.Counter(`hdc_runner_breaker_probe_outcomes_total{outcome="retrip"` + probeLabelTail(labels)),
 		breakerTransitions: reg.Counter("hdc_runner_breaker_transitions_total" + suffix),
 		breakerState:       reg.Gauge("hdc_runner_breaker_state" + suffix),
+		backendInvokes:     reg.Counter("hdc_backend_invokes_total" + suffix),
+		backendSim:         reg.Histogram("hdc_backend_invoke_sim_seconds" + suffix),
 	}
 	r.live.breakerState.Set(int64(r.breaker))
 }
@@ -338,6 +346,18 @@ func (m *runnerMetrics) onInvoke() {
 func (m *runnerMetrics) onDeviceInvoke() {
 	if m != nil {
 		m.deviceInvokes.Inc()
+	}
+}
+
+// onAttempt records one attempt on the primary backend with the attempt's
+// own timing, before any recovery waste is added to it.
+func (m *runnerMetrics) onAttempt(t edgetpu.Timing, err error) {
+	if m == nil {
+		return
+	}
+	m.backendInvokes.Inc()
+	if err == nil {
+		m.backendSim.Observe(t.Total())
 	}
 }
 
@@ -563,6 +583,7 @@ func (r *ResilientRunner) invoke(ctx context.Context, rows int, fill func(in *te
 		r.report.DeviceInvokes++
 		r.live.onDeviceInvoke()
 		t, err := r.primary.InvokeBatch(rows)
+		r.live.onAttempt(t, err)
 		if err == nil {
 			r.consecutive = 0
 			r.lastWasFallback = false

@@ -265,19 +265,28 @@ func TestInvokeCtxCancelledMidBackoffReturnsCanceled(t *testing.T) {
 	}
 }
 
-// instrumented is a backend whose invoke attempts can be counted.
-type instrumented interface {
+// countingBackend counts the invokes that reach the backend it wraps.
+type countingBackend struct {
 	backend.Backend
-	Instrument(reg *metrics.Registry, labels string)
+	invokes int
 }
 
-// TestInvokeBatchCtxCancelledDispatchesNothing: over a runner wrapping each
-// backend class, a cancelled InvokeBatchCtx returns context.Canceled without
-// filling the input or dispatching to the backend (its invoke counter does
-// not move), and the runner then serves a live request exactly like a fresh
-// backend would.
-func TestInvokeBatchCtxCancelledDispatchesNothing(t *testing.T) {
-	const capacity = 4
+func (c *countingBackend) InvokeBatch(rows int) (backend.Timing, error) {
+	c.invokes++
+	return c.Backend.InvokeBatch(rows)
+}
+
+// backendClass builds one fresh backend of a class over a shared fixture.
+type backendClass struct {
+	name  string
+	build func(plan edgetpu.FaultPlan) (backend.Backend, error)
+}
+
+// backendClasses returns one builder per backend class, all serving the
+// same tiny model at the given batch capacity, plus the model's dataset.
+// Only the tpu class can fault; the host classes ignore the plan.
+func backendClasses(t *testing.T, capacity int) ([]backendClass, *dataset.Dataset) {
+	t.Helper()
 	ds, err := dataset.Generate(dataset.SyntheticSpec(16, 120, 3, 99), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -291,25 +300,29 @@ func TestInvokeBatchCtxCancelledDispatchesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classes := []struct {
-		name  string
-		build func() (instrumented, error)
-	}{
-		{"tpu", func() (instrumented, error) { return tpu.New(*p.Accel, cm, edgetpu.FaultPlan{}) }},
-		{"cpu", func() (instrumented, error) { return hostcpu.New(p.Host, cm.Model) }},
-		{"bin", func() (instrumented, error) { return binhd.New(p.Host, model.Binarize(), capacity) }},
-	}
+	return []backendClass{
+		{"tpu", func(plan edgetpu.FaultPlan) (backend.Backend, error) { return tpu.New(*p.Accel, cm, plan) }},
+		{"cpu", func(edgetpu.FaultPlan) (backend.Backend, error) { return hostcpu.New(p.Host, cm.Model) }},
+		{"bin", func(edgetpu.FaultPlan) (backend.Backend, error) { return binhd.New(p.Host, model.Binarize(), capacity) }},
+	}, ds
+}
+
+// TestInvokeBatchCtxCancelledDispatchesNothing: over a runner wrapping each
+// backend class, a cancelled InvokeBatchCtx returns context.Canceled without
+// filling the input or dispatching to the backend, and the runner then
+// serves a live request exactly like a fresh backend would.
+func TestInvokeBatchCtxCancelledDispatchesNothing(t *testing.T) {
+	const capacity = 4
+	classes, ds := backendClasses(t, capacity)
 	n := ds.Features()
 	for _, c := range classes {
 		t.Run(c.name, func(t *testing.T) {
-			b, err := c.build()
+			b, err := c.build(edgetpu.FaultPlan{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg := metrics.NewRegistry()
-			b.Instrument(reg, "")
-			invokes := func() int64 { return reg.Snapshot().Counters["hdc_backend_invokes_total"] }
-			r, err := WrapBackends(b, nil, DefaultRecoveryPolicy())
+			counted := &countingBackend{Backend: b}
+			r, err := WrapBackends(counted, nil, DefaultRecoveryPolicy())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,18 +339,18 @@ func TestInvokeBatchCtxCancelledDispatchesNothing(t *testing.T) {
 					t.Fatalf("rows %d: cancelled InvokeBatchCtx returned %v", rows, err)
 				}
 			}
-			if got := invokes(); got != 0 || fills != 0 {
-				t.Fatalf("cancelled invokes dispatched: %d backend invokes, %d fills", got, fills)
+			if counted.invokes != 0 || fills != 0 {
+				t.Fatalf("cancelled invokes dispatched: %d backend invokes, %d fills", counted.invokes, fills)
 			}
 
 			got, err := r.InvokeBatchCtx(context.Background(), 0, fill)
 			if err != nil {
 				t.Fatalf("invoke after cancellation: %v", err)
 			}
-			if cnt := invokes(); cnt != 1 {
-				t.Fatalf("live invoke dispatched %d backend invokes, want 1", cnt)
+			if counted.invokes != 1 {
+				t.Fatalf("live invoke dispatched %d backend invokes, want 1", counted.invokes)
 			}
-			fresh, err := c.build()
+			fresh, err := c.build(edgetpu.FaultPlan{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -353,6 +366,71 @@ func TestInvokeBatchCtxCancelledDispatchesNothing(t *testing.T) {
 				if r.Output(0).I32[i] != v {
 					t.Fatalf("post-cancel prediction %d = %d, fresh backend %d", i, r.Output(0).I32[i], v)
 				}
+			}
+		})
+	}
+}
+
+// TestInstrumentRecordsBackendAttempts: an instrumented runner counts every
+// attempt on its primary backend in hdc_backend_invokes_total and records
+// each successful attempt's own simulated time, without recovery waste, in
+// hdc_backend_invoke_sim_seconds. Host-fallback invokes reach neither. The
+// faulted tpu case fails some attempts and falls back for some invokes, so
+// the recorded time must be what the caller was billed less the
+// reliability report's overhead and fallback time.
+func TestInstrumentRecordsBackendAttempts(t *testing.T) {
+	const capacity, invokes = 4, 40
+	classes, ds := backendClasses(t, capacity)
+	n := ds.Features()
+	faulted := edgetpu.FaultPlan{LinkErrorRate: 0.6, ResetRate: 0.05, Seed: 3}
+	for _, c := range append(classes, backendClass{"tpu-faulted", func(edgetpu.FaultPlan) (backend.Backend, error) {
+		return classes[0].build(faulted)
+	}}) {
+		t.Run(c.name, func(t *testing.T) {
+			b, err := c.build(edgetpu.FaultPlan{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			host, err := classes[1].build(edgetpu.FaultPlan{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			counted := &countingBackend{Backend: b}
+			r, err := WrapBackends(counted, host, DefaultRecoveryPolicy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.NewRegistry()
+			labels := `worker="0",backend="` + c.name + `"`
+			r.Instrument(reg, labels)
+			var billed time.Duration
+			for i := 0; i < invokes; i++ {
+				rows := i%capacity + 1
+				tm, err := r.InvokeBatch(rows, func(in *tensor.Tensor) {
+					copy(in.F32[:rows*n], ds.X.F32[i*n:(i+rows)*n])
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				billed += tm.Total()
+			}
+			snap := reg.Snapshot()
+			rep := r.Report()
+			if got := snap.Counters["hdc_backend_invokes_total{"+labels+"}"]; got != int64(counted.invokes) || got != int64(rep.DeviceInvokes) {
+				t.Fatalf("hdc_backend_invokes_total = %d, backend saw %d attempts, runner %d", got, counted.invokes, rep.DeviceInvokes)
+			}
+			h := snap.Histograms["hdc_backend_invoke_sim_seconds{"+labels+"}"]
+			if h == nil {
+				t.Fatal("hdc_backend_invoke_sim_seconds not registered")
+			}
+			if want := invokes - rep.FallbackInvokes; h.Count() != want {
+				t.Fatalf("sim histogram holds %d attempts, want %d successful ones", h.Count(), want)
+			}
+			if want := billed - rep.Overhead() - rep.FallbackTime; h.Sum() != want {
+				t.Fatalf("sim histogram sums %v, want billed %v less overhead and fallback = %v", h.Sum(), billed, want)
+			}
+			if c.name == "tpu-faulted" && (rep.Retries == 0 || rep.FallbackInvokes == 0) {
+				t.Fatalf("faulted plan exercised no retry or no fallback: %+v", rep)
 			}
 		})
 	}

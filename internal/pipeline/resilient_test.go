@@ -10,6 +10,7 @@ import (
 	"hdcedge/internal/edgetpu"
 	"hdcedge/internal/hdc"
 	"hdcedge/internal/rng"
+	"hdcedge/internal/tensor"
 )
 
 // resilientData returns a small split so the fault-path tests stay fast.
@@ -27,32 +28,120 @@ func resilientData(t *testing.T) (*dataset.Dataset, *dataset.Dataset) {
 	return train.Subset(idx), test.Subset(tidx)
 }
 
-func TestResilientZeroPlanBitIdentical(t *testing.T) {
-	// With no faults armed, the resilient path must cost exactly nothing:
-	// same encodings, same timing, no recovery activity.
-	train, _ := resilientData(t)
-	enc := hdc.NewEncoder(train.Features(), 256, true, rng.New(12))
-	base, baseT, err := EncodeOnDevice(EdgeTPU(), enc, train, 16)
-	if err != nil {
+// deviceLoop is the reference the one functional loop is checked against:
+// it drives a bare edgetpu.Device through ds in batches, padding the final
+// partial batch with the last row, and hands each real row's output to
+// read.
+func deviceLoop(t *testing.T, cm *edgetpu.CompiledModel, ds *dataset.Dataset, batch int, read func(out *tensor.Tensor, i, r int)) edgetpu.Timing {
+	t.Helper()
+	dev := edgetpu.NewDevice(*EdgeTPU().Accel)
+	if _, err := dev.LoadModel(cm); err != nil {
 		t.Fatal(err)
 	}
-	res, resT, report, err := EncodeOnDeviceResilient(EdgeTPU(), enc, train, 16, edgetpu.FaultPlan{}, DefaultRecoveryPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseT != resT {
-		t.Fatalf("timing diverged: direct %+v resilient %+v", baseT, resT)
-	}
-	for i := range base.F32 {
-		if base.F32[i] != res.F32[i] {
-			t.Fatalf("encoding element %d diverged: %v vs %v", i, base.F32[i], res.F32[i])
+	n, s := ds.Features(), ds.Samples()
+	var total edgetpu.Timing
+	for start := 0; start < s; start += batch {
+		in := dev.Input(0)
+		for r := 0; r < batch; r++ {
+			src := start + r
+			if src >= s {
+				src = s - 1
+			}
+			copy(in.F32[r*n:(r+1)*n], ds.X.Row(src))
+		}
+		timing, err := dev.Invoke()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total.Add(timing)
+		for r := 0; r < batch && start+r < s; r++ {
+			read(dev.Output(0), start+r, r)
 		}
 	}
-	if report.Retries != 0 || report.FallbackInvokes != 0 || report.Overhead() != 0 {
-		t.Fatalf("healthy run recorded recovery activity: %+v", report)
+	return total
+}
+
+func TestResilientZeroPlanBitIdentical(t *testing.T) {
+	// A healthy run is the runner under the zero plan, and it must cost
+	// exactly what a bare device does: same encodings, same predictions,
+	// same timing, no recovery activity. The shapes cover a sample count
+	// that is a multiple of the batch, ones that are not, and a batch
+	// larger than the whole set. That last one is inference only: an
+	// encode calibrates on the set it encodes, which needs a full batch.
+	train, test := resilientData(t)
+	model, _, err := hdc.Train(train, nil, hdc.TrainConfig{Dim: 256, Epochs: 2, LearningRate: 1, Nonlinear: true, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if report.Invokes == 0 || report.Invokes != report.DeviceInvokes {
-		t.Fatalf("invoke accounting off: %+v", report)
+	p := EdgeTPU()
+	for _, c := range []struct{ samples, batch int }{{32, 16}, {37, 16}, {7, 4}, {5, 8}} {
+		idx := make([]int, c.samples)
+		for i := range idx {
+			idx[i] = i
+		}
+		rows := test.Subset(idx)
+		batches := (c.samples + c.batch - 1) / c.batch
+
+		if c.samples >= c.batch {
+			cm, err := CompileEncoder(p, model.Encoder, rows, c.batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := model.Dim()
+			want := tensor.New(tensor.Float32, c.samples, d)
+			wantT := deviceLoop(t, cm, rows, c.batch, func(out *tensor.Tensor, i, r int) {
+				copy(want.Row(i), out.F32[r*d:(r+1)*d])
+			})
+			got, gotT, report, err := EncodeOnDeviceResilient(p, model.Encoder, rows, c.batch, edgetpu.FaultPlan{}, DefaultRecoveryPolicy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, plainT, err := EncodeOnDevice(p, model.Encoder, rows, c.batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotT != wantT || plainT != wantT {
+				t.Fatalf("%+v encode timing: resilient %+v, healthy %+v, bare device %+v", c, gotT, plainT, wantT)
+			}
+			for i := range want.F32 {
+				if got.F32[i] != want.F32[i] || plain.F32[i] != want.F32[i] {
+					t.Fatalf("%+v encoding element %d: resilient %v, healthy %v, bare device %v", c, i, got.F32[i], plain.F32[i], want.F32[i])
+				}
+			}
+			if report.Invokes != batches || report.DeviceInvokes != batches || report.Retries != 0 ||
+				report.FallbackInvokes != 0 || report.Overhead() != 0 {
+				t.Fatalf("%+v healthy encode: want %d invokes and no recovery activity, got %+v", c, batches, report)
+			}
+		}
+
+		cm, err := CompileInference(p, model, train, c.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantP := make([]int, c.samples)
+		wantT := deviceLoop(t, cm, rows, c.batch, func(out *tensor.Tensor, i, r int) {
+			wantP[i] = int(out.I32[r])
+		})
+		preds, predT, report, err := InferOnDeviceResilient(p, model, rows, train, c.batch, edgetpu.FaultPlan{}, DefaultRecoveryPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plainP, plainT, err := InferOnDevice(p, model, rows, train, c.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if predT != wantT || plainT != wantT {
+			t.Fatalf("%+v infer timing: resilient %+v, healthy %+v, bare device %+v", c, predT, plainT, wantT)
+		}
+		for i := range wantP {
+			if preds[i] != wantP[i] || plainP[i] != wantP[i] {
+				t.Fatalf("%+v prediction %d: resilient %d, healthy %d, bare device %d", c, i, preds[i], plainP[i], wantP[i])
+			}
+		}
+		if report.Invokes != batches || report.DeviceInvokes != batches || report.Retries != 0 ||
+			report.FallbackInvokes != 0 || report.Overhead() != 0 {
+			t.Fatalf("%+v healthy infer: want %d invokes and no recovery activity, got %+v", c, batches, report)
+		}
 	}
 }
 

@@ -9,12 +9,6 @@ import "hdcedge/internal/metrics"
 // maps. ServeReport's counters are materialized from the same handles —
 // there is exactly one set of books.
 
-// instrumentable is the optional seam a backend implements to stream its
-// own per-invoke telemetry into the server's registry.
-type instrumentable interface {
-	Instrument(reg *metrics.Registry, labels string)
-}
-
 // serveMetrics holds the server's pre-resolved registry handles.
 type serveMetrics struct {
 	reg *metrics.Registry

@@ -716,9 +716,6 @@ func (s *Server) buildBind(w *worker, e *registry.Entry) (*modelBind, error) {
 	// the whole fleet coexists in one namespace.
 	labels := w.labels + fmt.Sprintf(",model=%q", e.ID)
 	r.Instrument(s.met.reg, labels)
-	if ib, ok := r.Backend().(instrumentable); ok {
-		ib.Instrument(s.met.reg, labels)
-	}
 	b := &modelBind{entry: e, runner: r}
 	if b.integ, err = s.bindIntegrity(w, b, labels); err != nil {
 		return nil, err
@@ -1349,7 +1346,14 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 		if r.consume != nil {
 			r.consume(slot(out, i))
 		}
+		// Count the request before delivering it, so a Report taken as
+		// soon as Submit returns already holds it.
 		lat := now.Sub(r.enq)
+		w.mu.Lock()
+		w.stats.Requests++
+		w.stats.Latency.Observe(lat)
+		b.requests++
+		w.mu.Unlock()
 		s.deliver(r, outcome{res: Result{
 			Timing:    t,
 			OnHost:    onHost,
@@ -1362,11 +1366,6 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 			Model:     r.model,
 			Swap:      swap,
 		}, inv: span})
-		w.mu.Lock()
-		w.stats.Requests++
-		w.stats.Latency.Observe(lat)
-		b.requests++
-		w.mu.Unlock()
 	}
 }
 

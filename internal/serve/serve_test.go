@@ -477,3 +477,33 @@ func TestServeConfigValidate(t *testing.T) {
 		t.Fatalf("zero config rejected: %v", err)
 	}
 }
+
+// TestServeReportCountsBeforeDelivery: a request is counted in its worker's
+// and its model's Requests before its outcome is delivered, so a Report
+// taken right after Submit returns already holds it. One worker serves a
+// strictly sequential stream, so after each Submit the per-backend and
+// per-model Requests must equal Completed exactly.
+func TestServeReportCountsBeforeDelivery(t *testing.T) {
+	p, cm, ds := serveModel(t)
+	s, err := New(p, cm, Config{Policy: pipeline.DefaultRecoveryPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const k = 1000
+	for i := 0; i < k; i++ {
+		if _, err := s.Submit(context.Background(), Request{Fill: rowFill(ds, i%ds.Samples())}); err != nil {
+			t.Fatal(err)
+		}
+		rep := s.Report()
+		if rep.Completed != i+1 {
+			t.Fatalf("submit %d: Completed %d", i, rep.Completed)
+		}
+		if len(rep.Backends) != 1 || rep.Backends[0].Requests != rep.Completed {
+			t.Fatalf("submit %d: backend Requests %+v, Completed %d", i, rep.Backends, rep.Completed)
+		}
+		if len(rep.Models) != 1 || rep.Models[0].Requests != rep.Completed {
+			t.Fatalf("submit %d: model Requests %+v, Completed %d", i, rep.Models, rep.Completed)
+		}
+	}
+}
