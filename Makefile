@@ -110,10 +110,12 @@ binhd-smoke:
 # output) shows up in only about one run in a hundred or more. The
 # Submit-then-Report counting check repeats 20 times too: a request counted
 # after its delivery shows up in only some runs under the race detector.
+# The report-vs-series check and the mid-serve snapshot run here as well:
+# Report reads the runners' metric handles while workers invoke.
 # Fast enough for every `make test`.
 tenant-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestSchedulerWeightedFairShares|TestSchedulerStrictPriority|TestServeTenantQuotaShed|TestServeTenantSnapshotMonotone|TestServeMultiModelDispatchAndSwapBilling|TestServeHotSwapInvalidatesBind|TestServeEvictionDeterministic|TestServeRegistrySingleModelBitIdentical' \
+		-run 'TestSchedulerWeightedFairShares|TestSchedulerStrictPriority|TestServeTenantQuotaShed|TestServeTenantSnapshotMonotone|TestServeMultiModelDispatchAndSwapBilling|TestServeHotSwapInvalidatesBind|TestServeEvictionDeterministic|TestServeRegistrySingleModelBitIdentical|TestServeReportSumsRegistrySeries|TestLiveSnapshotMidServe' \
 		./internal/serve/
 	$(GO) test -race -count=20 -run 'TestServeBatchConcurrentMixedDeadlines|TestServeReportCountsBeforeDelivery' ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestRegisterNonResidentModelBillsBlobOnly' ./internal/registry/

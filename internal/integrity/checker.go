@@ -206,7 +206,8 @@ func (r *Report) Merge(o Report) {
 // canary runs, and the self-healing repair ladder when either detector
 // fires. Maintain must be called from the worker goroutine that owns the
 // device; NextDue, Report, Events and Quarantined are safe from any
-// goroutine.
+// goroutine. Every count lives in the checker's metric handles (see
+// Instrument); Report is a view of them.
 type Checker struct {
 	pol    Policy
 	golden *Golden
@@ -219,7 +220,6 @@ type Checker struct {
 	nextCanary  time.Time
 	quarantined bool
 	events      []Event
-	rep         Report
 	met         checkerMetrics
 }
 
@@ -238,11 +238,11 @@ func NewChecker(golden *Golden, pol Policy, d Deps) (*Checker, error) {
 	if pol.MarginFrac == 0 {
 		pol.MarginFrac = DefaultMarginFrac
 	}
-	c := &Checker{pol: pol, golden: golden, d: d, clock: d.Clock}
+	c := &Checker{pol: pol, golden: golden, d: d, clock: d.Clock,
+		met: newCheckerMetrics(metrics.NewRegistry(), "")}
 	if c.clock == nil {
 		c.clock = time.Now
 	}
-	c.rep.TimeToRepair = metrics.NewHistogram()
 	now := c.clock()
 	if c.scrubbing() {
 		c.nextScrub = now.Add(pol.ScrubInterval)
@@ -290,14 +290,26 @@ func (c *Checker) Quarantined() bool {
 	return c.quarantined
 }
 
-// Report snapshots the lifetime counters.
+// Report reads the lifetime counters from the checker's metric handles.
 func (c *Checker) Report() Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rep := c.rep
-	rep.Quarantined = c.quarantined
-	rep.TimeToRepair = c.rep.TimeToRepair.Clone()
-	return rep
+	m := c.met
+	count := func(h *metrics.Counter) int { return int(h.Value()) }
+	ttr := m.ttr.Snapshot()
+	return Report{
+		Scrubs:         count(m.scrubs),
+		Corruptions:    count(m.corruptions),
+		CanaryRuns:     count(m.canaryRuns),
+		CanaryFailures: count(m.canaryFailures),
+		Incidents:      count(m.incidents),
+		Repaired:       ttr.Count(),
+		Restores:       count(m.repairs[ActionRestore]),
+		Reloads:        count(m.repairs[ActionReload]),
+		Resets:         count(m.repairs[ActionReset]),
+		Quarantines:    count(m.repairs[ActionQuarantine]),
+		Quarantined:    c.Quarantined(),
+		RepairSimTime:  time.Duration(m.repairSimNs.Value()),
+		TimeToRepair:   ttr,
+	}
 }
 
 // Events returns a copy of the retained repair events, oldest first.
@@ -346,15 +358,11 @@ func (c *Checker) takeDue(next *time.Time, interval time.Duration, enabled bool)
 // first corruption.
 func (c *Checker) scrubPass(ctx context.Context, invoke CanaryInvoke) []Event {
 	corrupt := c.golden.Scrub(c.d.Target)
-	c.mu.Lock()
-	c.rep.Scrubs++
-	c.rep.Corruptions += len(corrupt)
-	c.mu.Unlock()
-	c.met.scrubs.inc()
+	c.met.scrubs.Inc()
 	if len(corrupt) == 0 {
 		return nil
 	}
-	c.met.corruptions.add(int64(len(corrupt)))
+	c.met.corruptions.Add(int64(len(corrupt)))
 	return c.ladder(ctx, TriggerScrub, corrupt, invoke, c.clock())
 }
 
@@ -368,10 +376,7 @@ func (c *Checker) canaryPass(ctx context.Context, invoke CanaryInvoke) []Event {
 	if fail == nil {
 		return nil
 	}
-	c.mu.Lock()
-	c.rep.CanaryFailures++
-	c.mu.Unlock()
-	c.met.canaryFailures.inc()
+	c.met.canaryFailures.Inc()
 	return c.ladder(ctx, TriggerCanary, nil, invoke, c.clock())
 }
 
@@ -389,10 +394,7 @@ func (c *Checker) runCanaries(ctx context.Context, invoke CanaryInvoke) (*Canary
 			return &CanaryError{Index: i, Reason: "invoke error: " + err.Error(),
 				WantLabel: cn.Label, GotLabel: -1, WantMargin: cn.Margin}, nil
 		}
-		c.mu.Lock()
-		c.rep.CanaryRuns++
-		c.mu.Unlock()
-		c.met.canaryRuns.inc()
+		c.met.canaryRuns.Inc()
 		if ce := cn.Check(i, pred, margin, c.pol.MarginFrac); ce != nil {
 			return ce, nil
 		}
@@ -423,9 +425,7 @@ func (c *Checker) verifyClean(ctx context.Context, invoke CanaryInvoke) bool {
 // reset, quarantine — verifying after each until the incident closes.
 // detected anchors time-to-repair.
 func (c *Checker) ladder(ctx context.Context, trig Trigger, corrupt []*CorruptionError, invoke CanaryInvoke, detected time.Time) []Event {
-	c.mu.Lock()
-	c.rep.Incidents++
-	c.mu.Unlock()
+	c.met.incidents.Inc()
 
 	var evs []Event
 	segID, segOff := "", 0
@@ -442,11 +442,7 @@ func (c *Checker) ladder(ctx context.Context, trig Trigger, corrupt []*Corruptio
 	closeOut := func(e *Event) {
 		e.Repaired = true
 		e.TimeToRepair = c.clock().Sub(detected)
-		c.mu.Lock()
-		c.rep.Repaired++
-		c.rep.TimeToRepair.Observe(e.TimeToRepair)
-		c.mu.Unlock()
-		c.met.ttr.observe(e.TimeToRepair)
+		c.met.ttr.Observe(e.TimeToRepair)
 	}
 
 	// Rung 1: re-upload just the corrupt segments. Only a scrub knows
@@ -509,10 +505,9 @@ func (c *Checker) ladder(ctx context.Context, trig Trigger, corrupt []*Corruptio
 	c.mu.Lock()
 	already := c.quarantined
 	c.quarantined = true
-	c.rep.Quarantines++
 	c.mu.Unlock()
-	c.met.quarantines.inc()
-	c.met.quarantined.set(1)
+	c.met.repairs[ActionQuarantine].Inc()
+	c.met.quarantined.Set(1)
 	if !already && c.d.Quarantine != nil {
 		c.d.Quarantine()
 	}
@@ -538,18 +533,8 @@ func (c *Checker) restoreSegment(seg *Segment) (time.Duration, error) {
 
 // bumpRung counts one repair-ladder action and its simulated cost.
 func (c *Checker) bumpRung(a Action, cost time.Duration) {
-	c.mu.Lock()
-	switch a {
-	case ActionRestore:
-		c.rep.Restores++
-	case ActionReload:
-		c.rep.Reloads++
-	case ActionReset:
-		c.rep.Resets++
-	}
-	c.rep.RepairSimTime += cost
-	c.mu.Unlock()
-	c.met.repairs[a].inc()
+	c.met.repairs[a].Inc()
+	c.met.repairSimNs.Add(int64(cost))
 }
 
 // record assigns the event's sequence number, retains it in the bounded

@@ -65,10 +65,15 @@ func BuildInferenceModel(m *hdc.Model, batch int) (*tflite.Model, error) {
 
 // CalibrationBatches packs dataset rows into full calibration batches for
 // a model whose input is [batch, features]. At most maxBatches batches are
-// produced; the trailing partial batch is dropped.
+// produced; the trailing partial batch is dropped. A non-empty set with no
+// full batch yields one batch padded with its last row, the padding the
+// device loop gives a partial batch.
 func CalibrationBatches(ds *dataset.Dataset, batch, maxBatches int) [][][]float32 {
-	n := ds.Features()
-	full := ds.Samples() / batch
+	n, s := ds.Features(), ds.Samples()
+	full := s / batch
+	if full == 0 && s > 0 {
+		full = 1
+	}
 	if maxBatches > 0 && full > maxBatches {
 		full = maxBatches
 	}
@@ -76,7 +81,7 @@ func CalibrationBatches(ds *dataset.Dataset, batch, maxBatches int) [][][]float3
 	for bi := 0; bi < full; bi++ {
 		buf := make([]float32, batch*n)
 		for r := 0; r < batch; r++ {
-			copy(buf[r*n:(r+1)*n], ds.X.Row(bi*batch+r))
+			copy(buf[r*n:(r+1)*n], ds.X.Row(min(bi*batch+r, s-1)))
 		}
 		out = append(out, [][]float32{buf})
 	}
@@ -89,7 +94,7 @@ func CalibrationBatches(ds *dataset.Dataset, batch, maxBatches int) [][][]float3
 func QuantizeForTPU(m *tflite.Model, calib *dataset.Dataset, batch, maxBatches int) (*tflite.Model, error) {
 	batches := CalibrationBatches(calib, batch, maxBatches)
 	if len(batches) == 0 {
-		return nil, fmt.Errorf("nnmap: calibration dataset has fewer than %d samples", batch)
+		return nil, fmt.Errorf("nnmap: empty calibration dataset")
 	}
 	return tflite.QuantizeModel(m, batches)
 }

@@ -122,6 +122,24 @@ func TestCalibrationBatches(t *testing.T) {
 	if len(capped) != 2 {
 		t.Fatalf("cap ignored: %d batches", len(capped))
 	}
+	// A set with no full batch calibrates on one batch padded with its
+	// last row; an empty set yields none.
+	short := ds.Subset([]int{0, 1, 2, 3, 4})
+	padded := CalibrationBatches(short, 8, 0)
+	if len(padded) != 1 || len(padded[0][0]) != 8*6 {
+		t.Fatalf("short set: %d batches", len(padded))
+	}
+	for r := 0; r < 8; r++ {
+		want := short.X.Row(min(r, 4))
+		for j, v := range padded[0][0][r*6 : (r+1)*6] {
+			if v != want[j] {
+				t.Fatalf("short set row %d feature %d = %v, want %v", r, j, v, want[j])
+			}
+		}
+	}
+	if got := CalibrationBatches(ds.Subset(nil), 8, 0); len(got) != 0 {
+		t.Fatalf("empty set: %d batches", len(got))
+	}
 }
 
 func TestQuantizedInferenceAccuracyNearFloat(t *testing.T) {
@@ -177,6 +195,9 @@ func TestQuantizedInferenceAccuracyNearFloat(t *testing.T) {
 	}
 }
 
+// TestQuantizeForTPURejectsTinyCalib: a calibration set smaller than one
+// batch calibrates on one batch padded with its last row (see
+// TestCalibrationBatches); only a set with no rows at all is rejected.
 func TestQuantizeForTPURejectsTinyCalib(t *testing.T) {
 	m, _, _ := trainedModel(t, 128)
 	im, err := BuildInferenceModel(m, 64)
@@ -184,8 +205,11 @@ func TestQuantizeForTPURejectsTinyCalib(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiny, _ := dataset.Generate(dataset.SyntheticSpec(24, 10, 4, 1), 0)
-	if _, err := QuantizeForTPU(im, tiny, 64, 0); err == nil {
-		t.Fatal("undersized calibration accepted")
+	if _, err := QuantizeForTPU(im, tiny.Subset(nil), 64, 0); err == nil {
+		t.Fatal("empty calibration set accepted")
+	}
+	if _, err := QuantizeForTPU(im, tiny, 64, 0); err != nil {
+		t.Fatalf("10-row calibration set at batch 64: %v", err)
 	}
 }
 

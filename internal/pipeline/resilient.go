@@ -203,7 +203,7 @@ type ReliabilityReport struct {
 	FallbackInvokes int // invokes completed on the host CPU
 	BreakerTripped  bool
 	BreakerTrips    int // closed→open transitions (including probe re-trips)
-	BreakerProbes   int // half-open trial invokes attempted
+	BreakerProbes   int // trial device attempts made while half-open
 	BreakerCloses   int // successful probes that closed the breaker again
 
 	BackoffTime  time.Duration // simulated time spent waiting between retries
@@ -238,9 +238,9 @@ func (r ReliabilityReport) String() string {
 }
 
 // ResilientRunner wraps a primary execution backend with retry, reload,
-// circuit breaking and graceful degradation to a secondary backend. It is
-// not safe for concurrent use; drive it from one goroutine like the
-// backends it wraps.
+// circuit breaking and graceful degradation to a secondary backend. Its
+// invokes are not safe for concurrent use; drive them from one goroutine
+// like the backends it wraps. Report is safe from any goroutine.
 type ResilientRunner struct {
 	primary   backend.Backend
 	secondary backend.Backend
@@ -253,7 +253,6 @@ type ResilientRunner struct {
 	policy RecoveryPolicy
 	jitter *rng.RNG
 
-	report          ReliabilityReport
 	consecutive     int
 	breaker         BreakerState
 	cooldownLeft    int
@@ -265,18 +264,18 @@ type ResilientRunner struct {
 	// half-open probe may route work back to the primary.
 	quarantined bool
 
-	// live streams the reliability events into a metrics registry as they
-	// happen (see Instrument). nil leaves the runner uninstrumented.
-	live *runnerMetrics
+	// met holds every reliability count; Report is a view of it. The
+	// handles are private until Instrument resolves them in a registry.
+	met *runnerMetrics
 
 	// SetupTime is the primary's initial load cost (not counted as
 	// overhead).
 	SetupTime time.Duration
 }
 
-// runnerMetrics holds the live-registry handles one instrumented runner
-// streams into. Every field is an atomic metric, so recording from the
-// runner's single goroutine never blocks a concurrent Snapshot.
+// runnerMetrics holds one runner's count handles. Every field is an atomic
+// metric, so the runner's goroutine records without blocking a concurrent
+// Report or Snapshot.
 type runnerMetrics struct {
 	invokes, deviceInvokes, retries *metrics.Counter
 	linkFaults, resets, reloads     *metrics.Counter
@@ -286,25 +285,23 @@ type runnerMetrics struct {
 	breakerTransitions              *metrics.Counter
 	breakerState                    *metrics.Gauge
 
+	// Simulated time, in nanoseconds, of each ReliabilityReport duration.
+	backoffNs, reloadNs, wastedNs, fallbackNs *metrics.Counter
+
 	// backendInvokes and backendSim record every attempt on the primary
 	// backend, and the simulated time of each one that succeeds.
 	backendInvokes *metrics.Counter
 	backendSim     *metrics.LiveHistogram
 }
 
-// Instrument streams the runner's reliability events — invokes, retries,
-// faults, reloads, host fallbacks, and every breaker state transition —
-// into reg as they happen, together with the primary backend's per-attempt
-// telemetry (hdc_backend_invokes_total, hdc_backend_invoke_sim_seconds). labels is an inline Prometheus label set
-// (e.g. `worker="0",backend="tpu"`) appended to every metric name so a
-// fleet of runners shares one registry without colliding. Call before the
-// first invoke; the runner itself stays single-goroutine.
-func (r *ResilientRunner) Instrument(reg *metrics.Registry, labels string) {
+// newRunnerMetrics resolves a runner's handles in reg. labels is an inline
+// Prometheus label set appended to every name.
+func newRunnerMetrics(reg *metrics.Registry, labels string) *runnerMetrics {
 	suffix := ""
 	if labels != "" {
 		suffix = "{" + labels + "}"
 	}
-	r.live = &runnerMetrics{
+	return &runnerMetrics{
 		invokes:            reg.Counter("hdc_runner_invokes_total" + suffix),
 		deviceInvokes:      reg.Counter("hdc_runner_device_invokes_total" + suffix),
 		retries:            reg.Counter("hdc_runner_retries_total" + suffix),
@@ -319,10 +316,27 @@ func (r *ResilientRunner) Instrument(reg *metrics.Registry, labels string) {
 		probeReTrips:       reg.Counter(`hdc_runner_breaker_probe_outcomes_total{outcome="retrip"` + probeLabelTail(labels)),
 		breakerTransitions: reg.Counter("hdc_runner_breaker_transitions_total" + suffix),
 		breakerState:       reg.Gauge("hdc_runner_breaker_state" + suffix),
+		backoffNs:          reg.Counter("hdc_runner_backoff_ns_total" + suffix),
+		reloadNs:           reg.Counter("hdc_runner_reload_ns_total" + suffix),
+		wastedNs:           reg.Counter("hdc_runner_wasted_ns_total" + suffix),
+		fallbackNs:         reg.Counter("hdc_runner_fallback_ns_total" + suffix),
 		backendInvokes:     reg.Counter("hdc_backend_invokes_total" + suffix),
 		backendSim:         reg.Histogram("hdc_backend_invoke_sim_seconds" + suffix),
 	}
-	r.live.breakerState.Set(int64(r.breaker))
+}
+
+// Instrument moves the runner's reliability counts — invokes, retries,
+// faults, reloads, host fallbacks, recovery time and every breaker state
+// transition — into reg, together with the primary backend's per-attempt
+// telemetry (hdc_backend_invokes_total, hdc_backend_invoke_sim_seconds).
+// labels is an inline Prometheus label set (e.g. `worker="0",backend="tpu"`)
+// appended to every metric name so a fleet of runners shares one registry
+// without colliding. Call before the first invoke. A runner instrumented
+// under the labels of an earlier runner continues its counts, and Report
+// then covers both.
+func (r *ResilientRunner) Instrument(reg *metrics.Registry, labels string) {
+	r.met = newRunnerMetrics(reg, labels)
+	r.met.breakerState.Set(int64(r.breaker))
 }
 
 // probeLabelTail closes the label set of the probe-outcome counters: the
@@ -332,95 +346,6 @@ func probeLabelTail(labels string) string {
 		return "}"
 	}
 	return "," + labels + "}"
-}
-
-// The on* recorders are nil-safe so an uninstrumented runner pays a single
-// pointer test per event.
-
-func (m *runnerMetrics) onInvoke() {
-	if m != nil {
-		m.invokes.Inc()
-	}
-}
-
-func (m *runnerMetrics) onDeviceInvoke() {
-	if m != nil {
-		m.deviceInvokes.Inc()
-	}
-}
-
-// onAttempt records one attempt on the primary backend with the attempt's
-// own timing, before any recovery waste is added to it.
-func (m *runnerMetrics) onAttempt(t edgetpu.Timing, err error) {
-	if m == nil {
-		return
-	}
-	m.backendInvokes.Inc()
-	if err == nil {
-		m.backendSim.Observe(t.Total())
-	}
-}
-
-func (m *runnerMetrics) onRetry() {
-	if m != nil {
-		m.retries.Inc()
-	}
-}
-
-func (m *runnerMetrics) onFault(reset bool) {
-	if m == nil {
-		return
-	}
-	if reset {
-		m.resets.Inc()
-	} else {
-		m.linkFaults.Inc()
-	}
-}
-
-func (m *runnerMetrics) onReload() {
-	if m != nil {
-		m.reloads.Inc()
-	}
-}
-
-func (m *runnerMetrics) onFallback() {
-	if m != nil {
-		m.fallbackInvokes.Inc()
-	}
-}
-
-// onProbeOutcome publishes how one half-open trial invoke ended: success
-// (the breaker closes) or a re-trip (back to open for another cooldown).
-// Without these the state gauge shows only where the breaker is now —
-// probe churn (a device that passes one probe in five and keeps flapping)
-// is invisible in /metrics.
-func (m *runnerMetrics) onProbeOutcome(success bool) {
-	if m == nil {
-		return
-	}
-	if success {
-		m.probeSuccesses.Inc()
-	} else {
-		m.probeReTrips.Inc()
-	}
-}
-
-// onBreaker publishes a breaker state transition.
-func (m *runnerMetrics) onBreaker(s BreakerState) {
-	if m == nil {
-		return
-	}
-	m.breakerState.Set(int64(s))
-	m.breakerTransitions.Inc()
-	switch s {
-	case BreakerOpen:
-		m.breakerTrips.Inc()
-	case BreakerHalfOpen:
-		m.probes.Inc()
-	case BreakerClosed:
-		m.closes.Inc()
-	}
 }
 
 // NewResilientRunner creates a TPU backend for the platform's accelerator,
@@ -465,6 +390,7 @@ func WrapBackends(primary, secondary backend.Backend, policy RecoveryPolicy) (*R
 		secondary: secondary,
 		policy:    policy,
 		jitter:    rng.New(policy.Seed),
+		met:       newRunnerMetrics(metrics.NewRegistry(), ""),
 	}, nil
 }
 
@@ -487,8 +413,35 @@ func (r *ResilientRunner) Degraded() bool { return r.breaker != BreakerClosed }
 // BreakerState returns the circuit breaker's current position.
 func (r *ResilientRunner) BreakerState() BreakerState { return r.breaker }
 
-// Report returns a copy of the reliability accounting so far.
-func (r *ResilientRunner) Report() ReliabilityReport { return r.report }
+// Report reads the reliability accounting so far from the runner's metric
+// handles. It is safe from any goroutine; read while an invoke is in
+// flight, it may trail that invoke's counts by a few atomic writes.
+func (r *ResilientRunner) Report() ReliabilityReport {
+	m := r.met
+	count := func(h *metrics.Counter) int { return int(h.Value()) }
+	ns := func(h *metrics.Counter) time.Duration { return time.Duration(h.Value()) }
+	return ReliabilityReport{
+		Invokes:         count(m.invokes),
+		DeviceInvokes:   count(m.deviceInvokes),
+		Retries:         count(m.retries),
+		LinkFaults:      count(m.linkFaults),
+		Resets:          count(m.resets),
+		Reloads:         count(m.reloads),
+		FallbackInvokes: count(m.fallbackInvokes),
+		BreakerTripped:  m.breakerTrips.Value() > 0,
+		BreakerTrips:    count(m.breakerTrips),
+		BreakerProbes:   count(m.probes),
+		BreakerCloses:   count(m.closes),
+		BackoffTime:     ns(m.backoffNs),
+		ReloadTime:      ns(m.reloadNs),
+		WastedTime:      ns(m.wastedNs),
+		FallbackTime:    ns(m.fallbackNs),
+	}
+}
+
+// OnHost reports whether the last successful invoke completed on the
+// secondary backend.
+func (r *ResilientRunner) OnHost() bool { return r.lastWasFallback }
 
 // Output returns the i-th model output tensor of whichever backend ran the
 // last successful invoke (primary, or secondary in degraded mode).
@@ -532,8 +485,8 @@ func (r *ResilientRunner) InvokeBatchCtx(ctx context.Context, rows int, fill fun
 // batch behavior (no wall-clock waits, no cancellation points); rows
 // limits device execution and pricing to the occupied sample rows.
 func (r *ResilientRunner) invoke(ctx context.Context, rows int, fill func(in *tensor.Tensor)) (edgetpu.Timing, error) {
-	r.report.Invokes++
-	r.live.onInvoke()
+	m := r.met
+	m.invokes.Inc()
 	var waste edgetpu.Timing
 	if err := ctxErr(ctx); err != nil {
 		return waste, err
@@ -552,15 +505,13 @@ func (r *ResilientRunner) invoke(ctx context.Context, rows int, fill func(in *te
 		if r.breaker == BreakerOpen && r.policy.BreakerCooldown > 0 {
 			r.cooldownLeft--
 			if r.cooldownLeft <= 0 {
-				r.breaker = BreakerHalfOpen
-				r.live.onBreaker(BreakerHalfOpen)
+				r.setBreaker(BreakerHalfOpen)
 			}
 		}
 		if r.breaker == BreakerOpen {
 			return r.invokeSecondary(fill, waste, rows)
 		}
 		probing = true
-		r.report.BreakerProbes++
 	}
 
 	attempts := 0
@@ -580,38 +531,41 @@ func (r *ResilientRunner) invoke(ctx context.Context, rows int, fill func(in *te
 			return waste, err
 		}
 		attempts++
-		r.report.DeviceInvokes++
-		r.live.onDeviceInvoke()
+		m.deviceInvokes.Inc()
+		m.backendInvokes.Inc()
+		if probing {
+			// A probe is the half-open trial attempt itself: one whose
+			// invoke was cancelled before reaching the device is retried
+			// by the next invoke and counted once, there.
+			m.probes.Inc()
+		}
 		t, err := r.primary.InvokeBatch(rows)
-		r.live.onAttempt(t, err)
 		if err == nil {
+			m.backendSim.Observe(t.Total())
 			r.consecutive = 0
 			r.lastWasFallback = false
 			if probing {
-				r.breaker = BreakerClosed
-				r.report.BreakerCloses++
-				r.live.onProbeOutcome(true)
-				r.live.onBreaker(BreakerClosed)
+				m.closes.Inc()
+				m.probeSuccesses.Inc()
+				r.setBreaker(BreakerClosed)
 			}
 			t.Add(waste)
 			return t, nil
 		}
 		waste.Add(t)
-		r.report.WastedTime += t.Total()
+		m.wastedNs.Add(int64(t.Total()))
 		if !backend.IsRetryable(err) {
 			return waste, fmt.Errorf("pipeline: resilient invoke failed permanently: %w", err)
 		}
 		if backend.NeedsReload(err) {
-			r.report.Resets++
-			r.live.onFault(true)
+			m.resets.Inc()
 			r.pendingReload = true
 		} else {
-			r.report.LinkFaults++
-			r.live.onFault(false)
+			m.linkFaults.Inc()
 		}
 		if probing {
 			// The trial attempt failed: back to open for another cooldown.
-			r.live.onProbeOutcome(false)
+			m.probeReTrips.Inc()
 			r.trip()
 			return r.invokeSecondary(fill, waste, rows)
 		}
@@ -625,11 +579,10 @@ func (r *ResilientRunner) invoke(ctx context.Context, rows int, fill func(in *te
 			}
 			return r.invokeSecondary(fill, waste, rows)
 		}
-		r.report.Retries++
-		r.live.onRetry()
+		m.retries.Inc()
 		wait := r.policy.backoff(attempts, r.jitter)
 		waste.Host += wait
-		r.report.BackoffTime += wait
+		m.backoffNs.Add(int64(wait))
 		if r.pendingReload {
 			if err := r.reload(&waste); err != nil {
 				return waste, err
@@ -647,14 +600,10 @@ func (r *ResilientRunner) invoke(ctx context.Context, rows int, fill func(in *te
 // the simulated setup cost, accounted as reload overhead exactly like a
 // fault-driven reload. Call it from the goroutine that drives the runner.
 func (r *ResilientRunner) ForceReload() (time.Duration, error) {
-	setup, err := r.primary.Reset()
+	setup, err := r.resetPrimary()
 	if err != nil {
 		return 0, fmt.Errorf("pipeline: forced reload failed: %w", err)
 	}
-	r.pendingReload = false
-	r.report.Reloads++
-	r.live.onReload()
-	r.report.ReloadTime += setup
 	return setup, nil
 }
 
@@ -679,25 +628,38 @@ func (r *ResilientRunner) Quarantined() bool { return r.quarantined }
 // reload re-pays the primary's model load after a reset-class fault,
 // accounting the setup cost as recovery overhead.
 func (r *ResilientRunner) reload(waste *edgetpu.Timing) error {
-	setup, err := r.primary.Reset()
+	setup, err := r.resetPrimary()
 	if err != nil {
 		return fmt.Errorf("pipeline: model reload failed: %w", err)
 	}
-	r.pendingReload = false
-	r.report.Reloads++
-	r.live.onReload()
 	waste.Host += setup
-	r.report.ReloadTime += setup
 	return nil
+}
+
+// resetPrimary re-pays the primary's model load and counts it as a reload.
+func (r *ResilientRunner) resetPrimary() (time.Duration, error) {
+	setup, err := r.primary.Reset()
+	if err != nil {
+		return 0, err
+	}
+	r.pendingReload = false
+	r.met.reloads.Inc()
+	r.met.reloadNs.Add(int64(setup))
+	return setup, nil
 }
 
 // trip opens the breaker and arms the cooldown.
 func (r *ResilientRunner) trip() {
-	r.breaker = BreakerOpen
 	r.cooldownLeft = r.policy.BreakerCooldown
-	r.report.BreakerTripped = true
-	r.report.BreakerTrips++
-	r.live.onBreaker(BreakerOpen)
+	r.met.breakerTrips.Inc()
+	r.setBreaker(BreakerOpen)
+}
+
+// setBreaker moves the breaker to s and publishes the transition.
+func (r *ResilientRunner) setBreaker(s BreakerState) {
+	r.breaker = s
+	r.met.breakerState.Set(int64(s))
+	r.met.breakerTransitions.Inc()
 }
 
 // ctxErr returns the context's error, tolerating the batch path's nil ctx.
@@ -748,9 +710,8 @@ func (r *ResilientRunner) invokeSecondary(fill func(in *tensor.Tensor), waste ed
 		return waste, fmt.Errorf("pipeline: host fallback invoke: %w", err)
 	}
 	r.lastWasFallback = true
-	r.report.FallbackInvokes++
-	r.live.onFallback()
-	r.report.FallbackTime += st.Total()
+	r.met.fallbackInvokes.Inc()
+	r.met.fallbackNs.Add(int64(st.Total()))
 	t := waste
 	t.Add(st)
 	return t, nil

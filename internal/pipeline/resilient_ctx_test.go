@@ -143,6 +143,43 @@ func TestBreakerTripProbeRetrip(t *testing.T) {
 	}
 }
 
+func TestCancelledProbeCountedOnce(t *testing.T) {
+	// A half-open probe whose invoke is cancelled after fill never reaches
+	// the device: the breaker stays half-open, and the next invoke makes
+	// the trial attempt. BreakerProbes counts trial attempts, so the pair
+	// is one probe, in the report and in hdc_runner_breaker_probes_total.
+	r := breakerRunner(t, edgetpu.FaultPlan{Seed: 1, LinkErrorRate: 1}, probePolicy())
+	reg := metrics.NewRegistry()
+	r.Instrument(reg, `worker="0"`)
+	for i := 0; i < 4; i++ { // trip, then the cooldown's first two invokes
+		if _, err := r.InvokeBatch(0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	attempts := r.Report().DeviceInvokes
+	if _, err := r.InvokeBatchCtx(ctx, 0, func(*tensor.Tensor) { cancel() }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled probe returned %v", err)
+	}
+	if r.BreakerState() != BreakerHalfOpen || r.Report().DeviceInvokes != attempts {
+		t.Fatalf("cancelled probe: breaker %v, %d device attempts", r.BreakerState(), r.Report().DeviceInvokes-attempts)
+	}
+	if _, err := r.InvokeBatch(0, nil); err != nil { // the probe proper: re-trips
+		t.Fatal(err)
+	}
+	rep := r.Report()
+	snap := reg.Snapshot()
+	probes := snap.Counters[`hdc_runner_breaker_probes_total{worker="0"}`]
+	retrips := snap.Counters[`hdc_runner_breaker_probe_outcomes_total{outcome="retrip",worker="0"}`]
+	if rep.BreakerProbes != 1 || probes != 1 || retrips != 1 {
+		t.Fatalf("report probes %d, series probes %d, re-trips %d; want 1/1/1", rep.BreakerProbes, probes, retrips)
+	}
+	if r.BreakerState() != BreakerOpen || rep.DeviceInvokes != attempts+1 {
+		t.Fatalf("probe: breaker %v, %d device attempts", r.BreakerState(), rep.DeviceInvokes-attempts)
+	}
+}
+
 func TestBreakerCooldownZeroStaysOpen(t *testing.T) {
 	// BreakerCooldown = 0 preserves the legacy permanently-open behavior.
 	policy := probePolicy()

@@ -66,8 +66,8 @@ func TestResilientZeroPlanBitIdentical(t *testing.T) {
 	// exactly what a bare device does: same encodings, same predictions,
 	// same timing, no recovery activity. The shapes cover a sample count
 	// that is a multiple of the batch, ones that are not, and a batch
-	// larger than the whole set. That last one is inference only: an
-	// encode calibrates on the set it encodes, which needs a full batch.
+	// larger than the whole set, which an encode also calibrates on: one
+	// batch padded with its last row.
 	train, test := resilientData(t)
 	model, _, err := hdc.Train(train, nil, hdc.TrainConfig{Dim: 256, Epochs: 2, LearningRate: 1, Nonlinear: true, Seed: 9})
 	if err != nil {
@@ -82,44 +82,42 @@ func TestResilientZeroPlanBitIdentical(t *testing.T) {
 		rows := test.Subset(idx)
 		batches := (c.samples + c.batch - 1) / c.batch
 
-		if c.samples >= c.batch {
-			cm, err := CompileEncoder(p, model.Encoder, rows, c.batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := model.Dim()
-			want := tensor.New(tensor.Float32, c.samples, d)
-			wantT := deviceLoop(t, cm, rows, c.batch, func(out *tensor.Tensor, i, r int) {
-				copy(want.Row(i), out.F32[r*d:(r+1)*d])
-			})
-			got, gotT, report, err := EncodeOnDeviceResilient(p, model.Encoder, rows, c.batch, edgetpu.FaultPlan{}, DefaultRecoveryPolicy())
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, plainT, err := EncodeOnDevice(p, model.Encoder, rows, c.batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotT != wantT || plainT != wantT {
-				t.Fatalf("%+v encode timing: resilient %+v, healthy %+v, bare device %+v", c, gotT, plainT, wantT)
-			}
-			for i := range want.F32 {
-				if got.F32[i] != want.F32[i] || plain.F32[i] != want.F32[i] {
-					t.Fatalf("%+v encoding element %d: resilient %v, healthy %v, bare device %v", c, i, got.F32[i], plain.F32[i], want.F32[i])
-				}
-			}
-			if report.Invokes != batches || report.DeviceInvokes != batches || report.Retries != 0 ||
-				report.FallbackInvokes != 0 || report.Overhead() != 0 {
-				t.Fatalf("%+v healthy encode: want %d invokes and no recovery activity, got %+v", c, batches, report)
+		cm, err := CompileEncoder(p, model.Encoder, rows, c.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := model.Dim()
+		want := tensor.New(tensor.Float32, c.samples, d)
+		wantT := deviceLoop(t, cm, rows, c.batch, func(out *tensor.Tensor, i, r int) {
+			copy(want.Row(i), out.F32[r*d:(r+1)*d])
+		})
+		got, gotT, report, err := EncodeOnDeviceResilient(p, model.Encoder, rows, c.batch, edgetpu.FaultPlan{}, DefaultRecoveryPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, plainT, err := EncodeOnDevice(p, model.Encoder, rows, c.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotT != wantT || plainT != wantT {
+			t.Fatalf("%+v encode timing: resilient %+v, healthy %+v, bare device %+v", c, gotT, plainT, wantT)
+		}
+		for i := range want.F32 {
+			if got.F32[i] != want.F32[i] || plain.F32[i] != want.F32[i] {
+				t.Fatalf("%+v encoding element %d: resilient %v, healthy %v, bare device %v", c, i, got.F32[i], plain.F32[i], want.F32[i])
 			}
 		}
+		if report.Invokes != batches || report.DeviceInvokes != batches || report.Retries != 0 ||
+			report.FallbackInvokes != 0 || report.Overhead() != 0 {
+			t.Fatalf("%+v healthy encode: want %d invokes and no recovery activity, got %+v", c, batches, report)
+		}
 
-		cm, err := CompileInference(p, model, train, c.batch)
+		cm, err = CompileInference(p, model, train, c.batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantP := make([]int, c.samples)
-		wantT := deviceLoop(t, cm, rows, c.batch, func(out *tensor.Tensor, i, r int) {
+		wantT = deviceLoop(t, cm, rows, c.batch, func(out *tensor.Tensor, i, r int) {
 			wantP[i] = int(out.I32[r])
 		})
 		preds, predT, report, err := InferOnDeviceResilient(p, model, rows, train, c.batch, edgetpu.FaultPlan{}, DefaultRecoveryPolicy())

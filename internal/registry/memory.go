@@ -113,10 +113,27 @@ type resident struct {
 	lastUse uint64 // logical-clock touch, not wall time: deterministic
 }
 
-// memMetrics are a DeviceMemory's optional live registry handles.
+// memMetrics holds a DeviceMemory's counts; Stats is a view of them.
 type memMetrics struct {
 	hits, misses, evictions, swapNs *metrics.Counter
 	used, residentN                 *metrics.Gauge
+}
+
+// newMemMetrics resolves a device's handles in reg under the inline label
+// set labels.
+func newMemMetrics(reg *metrics.Registry, labels string) *memMetrics {
+	suffix := ""
+	if labels != "" {
+		suffix = "{" + labels + "}"
+	}
+	return &memMetrics{
+		hits:      reg.Counter("hdc_registry_hits_total" + suffix),
+		misses:    reg.Counter("hdc_registry_misses_total" + suffix),
+		evictions: reg.Counter("hdc_registry_evictions_total" + suffix),
+		swapNs:    reg.Counter("hdc_registry_swap_ns_total" + suffix),
+		used:      reg.Gauge("hdc_registry_mem_used_bytes" + suffix),
+		residentN: reg.Gauge("hdc_registry_resident_models" + suffix),
+	}
 }
 
 // eventCap bounds the retained event log per device; a long-running server
@@ -141,10 +158,9 @@ type DeviceMemory struct {
 	models map[string]*resident
 	used   int
 	tick   uint64
-	stats  MemStats
 	events []Event // ring of up to eventCap; oldest at evHead once full
 	evHead int
-	met    *memMetrics
+	met    *memMetrics // private until Instrument
 }
 
 // NewDeviceMemory creates the occupancy tracker for one device. budget is
@@ -159,29 +175,17 @@ func (g *Registry) NewDeviceMemory(device, budget int, policy EvictPolicy) (*Dev
 		budget: budget,
 		policy: policy,
 		models: map[string]*resident{},
-		stats:  MemStats{Device: device, Budget: budget},
+		met:    newMemMetrics(metrics.NewRegistry(), ""),
 	}, nil
 }
 
-// Instrument streams the device's residency counters into reg under the
-// given label set (e.g. `worker="0"`).
+// Instrument moves the device's residency counts into reg under the given
+// label set (e.g. `worker="0"`). Call before the first Acquire.
 func (d *DeviceMemory) Instrument(reg *metrics.Registry, labels string) {
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
 	d.mu.Lock()
-	d.met = &memMetrics{
-		hits:      reg.Counter("hdc_registry_hits_total" + suffix),
-		misses:    reg.Counter("hdc_registry_misses_total" + suffix),
-		evictions: reg.Counter("hdc_registry_evictions_total" + suffix),
-		swapNs:    reg.Counter("hdc_registry_swap_ns_total" + suffix),
-		used:      reg.Gauge("hdc_registry_mem_used_bytes" + suffix),
-		residentN: reg.Gauge("hdc_registry_resident_models" + suffix),
-	}
-	d.met.used.Set(int64(d.used))
-	d.met.residentN.Set(int64(len(d.models)))
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	d.met = newMemMetrics(reg, labels)
+	d.publishGauges()
 }
 
 // Preload inserts e as resident without billing or events — the
@@ -217,10 +221,7 @@ func (d *DeviceMemory) Acquire(e *Entry) Admission {
 	if r, ok := d.models[e.ID]; ok {
 		if r.version == e.Version {
 			r.lastUse = d.tick
-			d.stats.Hits++
-			if d.met != nil {
-				d.met.hits.Inc()
-			}
+			d.met.hits.Inc()
 			d.record(Event{Kind: EvHit, Model: e.ID, Version: e.Version, Bytes: r.bytes, Resident: true})
 			return Admission{Hit: true, Resident: true}
 		}
@@ -244,12 +245,8 @@ func (d *DeviceMemory) Acquire(e *Entry) Admission {
 			adm.Resident = true
 		}
 	}
-	d.stats.Misses++
-	d.stats.SwapTime += e.Setup
-	if d.met != nil {
-		d.met.misses.Inc()
-		d.met.swapNs.Add(int64(e.Setup))
-	}
+	d.met.misses.Inc()
+	d.met.swapNs.Add(int64(e.Setup))
 	d.record(Event{Kind: EvMiss, Model: e.ID, Version: e.Version, Bytes: e.Footprint,
 		Setup: e.Setup, Resident: adm.Resident})
 	d.publishGauges()
@@ -273,10 +270,7 @@ func (d *DeviceMemory) lruVictim() *resident {
 func (d *DeviceMemory) evict(r *resident) {
 	delete(d.models, r.id)
 	d.used -= r.bytes
-	d.stats.Evictions++
-	if d.met != nil {
-		d.met.evictions.Inc()
-	}
+	d.met.evictions.Inc()
 	d.record(Event{Kind: EvEvict, Model: r.id, Version: r.version, Bytes: r.bytes})
 }
 
@@ -296,9 +290,6 @@ func (d *DeviceMemory) record(e Event) {
 
 // publishGauges refreshes the occupancy gauges. Caller holds d.mu.
 func (d *DeviceMemory) publishGauges() {
-	if d.met == nil {
-		return
-	}
 	d.met.used.Set(int64(d.used))
 	d.met.residentN.Set(int64(len(d.models)))
 }
@@ -311,14 +302,21 @@ func (d *DeviceMemory) Resident(id string) bool {
 	return ok
 }
 
-// Stats snapshots the device's residency accounting.
+// Stats reads the device's residency accounting from its metric handles.
 func (d *DeviceMemory) Stats() MemStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := d.stats
-	st.Used = d.used
-	st.Resident = len(d.models)
-	return st
+	m := d.met
+	return MemStats{
+		Device:    d.device,
+		Budget:    d.budget,
+		Used:      int(m.used.Value()),
+		Resident:  int(m.residentN.Value()),
+		Hits:      int(m.hits.Value()),
+		Misses:    int(m.misses.Value()),
+		Evictions: int(m.evictions.Value()),
+		SwapTime:  time.Duration(m.swapNs.Value()),
+	}
 }
 
 // Events returns the retained residency transitions in order (the most

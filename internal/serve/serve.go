@@ -434,26 +434,27 @@ type workerStats struct {
 // modelBind is one worker's runner (and optional integrity checker) for
 // one registry entry. A worker binds the default model at construction and
 // grows further binds lazily as models are dispatched to it. Only the
-// worker goroutine touches the runner/integ/loaded fields; the accounting
-// fields are guarded by worker.mu.
+// worker goroutine invokes the runner and touches loaded; the runner's and
+// checker's Report are safe from any goroutine.
 type modelBind struct {
 	entry  *registry.Entry // the entry (ID, Version) the runner was built from
 	runner *pipeline.ResilientRunner
 	integ  *integrity.Checker
-	loaded bool // host worker paid its one-time model-load bill
+	loaded bool         // host worker paid its one-time model-load bill
+	counts *modelCounts // this worker's counts for the model, across versions
+}
 
-	// Guarded by worker.mu.
-	report   pipeline.ReliabilityReport // snapshot after the last invoke
-	requests int                        // completed requests served via this bind
-	invokes  int                        // successful engine invokes
-	swap     time.Duration              // re-setup billed on this worker for this model
+// modelCounts is one worker's serving share of one model ID. A hot swap
+// rebuilds the bind but keeps its counts. Guarded by worker.mu.
+type modelCounts struct {
+	requests int           // completed requests
+	invokes  int           // successful engine invokes
+	swap     time.Duration // re-setup billed on this worker
 }
 
 // worker owns one backend slot of the pool and the per-model runners bound
-// to it. Runners are not safe for concurrent use and are touched only by
-// the worker goroutine; after every invoke the worker publishes a
-// reliability snapshot under mu so Report can read it without blocking
-// behind an in-flight invoke.
+// to it. Runners are invoked only by the worker goroutine; Report reads
+// their metric handles from any goroutine without blocking an invoke.
 type worker struct {
 	id   int
 	name string // backend class (tpu.Name, hostcpu.Name, binhd.Name)
@@ -463,6 +464,10 @@ type worker struct {
 	// (cur is set once in New before the loop starts).
 	cur   *modelBind
 	binds map[string]*modelBind
+
+	// counts holds each model's serving share on this worker, keyed by
+	// model ID; the map and its values are guarded by mu.
+	counts map[string]*modelCounts
 
 	// mem simulates this worker's on-chip parameter memory (nil for host
 	// workers).
@@ -630,6 +635,7 @@ func New(p pipeline.Platform, cm *edgetpu.CompiledModel, cfg Config) (*Server, e
 			policy: policy, plan: plan,
 			labels: fmt.Sprintf("worker=%q,backend=%q", strconv.Itoa(i), kind),
 			binds:  map[string]*modelBind{},
+			counts: map[string]*modelCounts{},
 			stats:  workerStats{Latency: metrics.NewHistogram()},
 		}
 		if kind == tpu.Name {
@@ -711,12 +717,20 @@ func (s *Server) buildBind(w *worker, e *registry.Entry) (*modelBind, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Stream this worker's reliability events and its backend's invoke
-	// telemetry into the shared registry, labelled per worker and model so
-	// the whole fleet coexists in one namespace.
+	// Keep this worker's reliability counts and its backend's invoke
+	// telemetry in the shared registry, labelled per worker and model so
+	// the whole fleet coexists in one namespace. A rebind after a hot swap
+	// resolves the same handles, so the counts carry across versions.
 	labels := w.labels + fmt.Sprintf(",model=%q", e.ID)
 	r.Instrument(s.met.reg, labels)
-	b := &modelBind{entry: e, runner: r}
+	w.mu.Lock()
+	counts := w.counts[e.ID]
+	if counts == nil {
+		counts = &modelCounts{}
+		w.counts[e.ID] = counts
+	}
+	w.mu.Unlock()
+	b := &modelBind{entry: e, runner: r, counts: counts}
 	if b.integ, err = s.bindIntegrity(w, b, labels); err != nil {
 		return nil, err
 	}
@@ -1130,13 +1144,9 @@ func (s *Server) maintain(w *worker) {
 	}
 	b.integ.Maintain(ctx, invoke)
 
-	// Repairs and canary invokes move breaker and reliability state;
-	// republish both so Health and Report see them without an invoke.
+	// Repairs and canary invokes move the breaker; republish it so Health
+	// sees it without an invoke.
 	w.state.Store(int32(b.runner.BreakerState()))
-	rep := b.runner.Report()
-	w.mu.Lock()
-	b.report = rep
-	w.mu.Unlock()
 }
 
 // bind points w at model before an invoke, lazily building (or rebuilding,
@@ -1174,7 +1184,7 @@ func (s *Server) bind(w *worker, model string) (*modelBind, time.Duration, error
 	}
 	if swap > 0 {
 		w.mu.Lock()
-		b.swap += swap
+		b.counts.swap += swap
 		w.mu.Unlock()
 	}
 	return b, swap, nil
@@ -1254,18 +1264,13 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 	if !batched {
 		slot, invRows = wholeTensor, 0
 	}
-	before := b.runner.Report().FallbackInvokes
 	t, err := b.runner.InvokeBatchCtx(ictx, invRows, func(in *tensor.Tensor) {
 		for i, r := range batch {
 			r.fill(slot(in, i))
 		}
 	})
-	rep := b.runner.Report()
-	onHost := rep.FallbackInvokes > before
+	onHost := err == nil && b.runner.OnHost()
 	w.state.Store(int32(b.runner.BreakerState()))
-	w.mu.Lock()
-	b.report = rep
-	w.mu.Unlock()
 
 	span := &invokeSpan{
 		worker:  w.id,
@@ -1331,7 +1336,7 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 	}
 	w.stats.SimTime += t.Total()
 	w.stats.Busy += now.Sub(start)
-	b.invokes++
+	b.counts.invokes++
 	w.mu.Unlock()
 	// Each member is claimed (its settle CAS won) before its consume runs,
 	// so consume never writes the caller's buffers after Do has returned:
@@ -1352,7 +1357,7 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 		w.mu.Lock()
 		w.stats.Requests++
 		w.stats.Latency.Observe(lat)
-		b.requests++
+		b.counts.requests++
 		w.mu.Unlock()
 		s.deliver(r, outcome{res: Result{
 			Timing:    t,
@@ -1461,20 +1466,17 @@ func (s *Server) Metrics() *metrics.Registry { return s.met.reg }
 
 // Report snapshots the serving counters, latency histograms, aggregated
 // reliability accounting across all workers, the per-backend-class
-// breakdowns, and the current health. The counters are materialized from
-// the live registry — the report is a view of the same numbers a metrics
-// Snapshot exposes, not a second set of books.
+// breakdowns, and the current health. The counters and the reliability,
+// integrity and memory blocks are read from the live registry handles —
+// the report is a view of the same numbers a metrics Snapshot exposes, not
+// a second set of books — so they carry across hot swaps.
 func (s *Server) Report() ServeReport {
 	s.mu.Lock()
 	c := s.met.counters()
 	s.mu.Unlock()
 	rep := ServeReport{counters: c, Devices: len(s.workers), Fleet: s.cfg.Fleet, Health: s.Health()}
 	byName := make(map[string]int) // backend class -> index into rep.Backends
-	type modelAgg struct {
-		requests, invokes int
-		swap              time.Duration
-	}
-	models := map[string]*modelAgg{}
+	models := map[string]*modelCounts{}
 	for _, w := range s.workers {
 		w.mu.Lock()
 		st := w.stats
@@ -1482,18 +1484,20 @@ func (s *Server) Report() ServeReport {
 		var wrel pipeline.ReliabilityReport
 		var integs []*integrity.Checker
 		for _, mb := range w.binds {
-			mergeReliability(&wrel, mb.report)
+			mergeReliability(&wrel, mb.runner.Report())
 			if mb.integ != nil {
 				integs = append(integs, mb.integ)
 			}
-			a := models[mb.entry.ID]
+		}
+		for id, c := range w.counts {
+			a := models[id]
 			if a == nil {
-				a = &modelAgg{}
-				models[mb.entry.ID] = a
+				a = &modelCounts{}
+				models[id] = a
 			}
-			a.requests += mb.requests
-			a.invokes += mb.invokes
-			a.swap += mb.swap
+			a.requests += c.requests
+			a.invokes += c.invokes
+			a.swap += c.swap
 		}
 		w.mu.Unlock()
 		mergeReliability(&rep.Reliability, wrel)

@@ -517,6 +517,9 @@ func TestServeMultiModelDispatchAndSwapBilling(t *testing.T) {
 	}
 }
 
+// TestServeHotSwapInvalidatesBind serves a model before and after a hot
+// swap: the post-swap request pays the new version's re-upload, and the
+// per-model and reliability counts carry across the rebind.
 func TestServeHotSwapInvalidatesBind(t *testing.T) {
 	p, cm, ds := serveModel(t)
 	g := registry.New()
@@ -528,8 +531,11 @@ func TestServeHotSwapInvalidatesBind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Submit(context.Background(), Request{Fill: rowFill(ds, 0)}); err != nil {
-		t.Fatal(err)
+	const before, after = 5, 3
+	for i := 0; i < before; i++ {
+		if _, err := s.Submit(context.Background(), Request{Fill: rowFill(ds, i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	model2, _, err := hdc.Train(ds, nil, hdc.TrainConfig{
 		Dim: 256, Epochs: 1, LearningRate: 1, Nonlinear: true, Seed: 77,
@@ -545,16 +551,37 @@ func TestServeHotSwapInvalidatesBind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Submit(context.Background(), Request{Fill: rowFill(ds, 0)})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < after; i++ {
+		res, err := s.Submit(context.Background(), Request{Fill: rowFill(ds, i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := time.Duration(0) // resident after the first re-upload
+		if i == 0 {
+			want = e2.Setup
+		}
+		if res.Swap != want {
+			t.Fatalf("post-swap request %d billed %v, want %v", i, res.Swap, want)
+		}
 	}
-	if res.Swap != e2.Setup {
-		t.Fatalf("post-swap request billed %v, want re-upload %v", res.Swap, e2.Setup)
-	}
-	ms, _ := s.Report().Model("m")
+	rep := s.Report()
+	ms, _ := rep.Model("m")
 	if ms.Version != 2 {
 		t.Fatalf("report shows version %d after swap", ms.Version)
+	}
+	if rep.Completed != before+after || ms.Requests != rep.Completed || ms.Invokes != rep.Completed || ms.Swap != e2.Setup {
+		t.Fatalf("model counts %+v across the swap, want %d requests and invokes and swap %v (completed %d)",
+			ms, before+after, e2.Setup, rep.Completed)
+	}
+	var invokes int64
+	for name, v := range s.Metrics().Snapshot().Counters {
+		if strings.HasPrefix(name, "hdc_runner_invokes_total{") {
+			invokes += v
+		}
+	}
+	if rep.Reliability.Invokes != int(invokes) || invokes != before+after {
+		t.Fatalf("Reliability.Invokes %d, hdc_runner_invokes_total sums to %d, want %d",
+			rep.Reliability.Invokes, invokes, before+after)
 	}
 }
 
