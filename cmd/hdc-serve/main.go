@@ -1,10 +1,10 @@
 // Command hdc-serve runs the request-level serving runtime against a
-// simulated fleet — all Edge TPU by default, or a heterogeneous mix of
+// simulated fleet — four Edge TPUs by default, or a heterogeneous mix of
 // backend classes via -fleet — and reports what happened under load.
 //
 // Usage:
 //
-//	hdc-serve [-data test.bin] [-devices 4] [-fleet "tpu=2,bin=2"]
+//	hdc-serve [-data test.bin] [-fleet "tpu=2,bin=2"]
 //	          [-queue 8] [-deadline 250ms]
 //	          [-drain 2s] [-requests 400] [-load 2.0] [-pace 4ms]
 //	          [-batch 1] [-window 0] [-pace-scale 0]
@@ -110,7 +110,6 @@ func (e *flagError) Error() string { return "-" + e.flag + ": " + e.reason }
 // from flag.Parse and os.Exit.
 type options struct {
 	data      string
-	devices   int
 	fleetSpec string
 	queue     int
 	deadline  time.Duration
@@ -145,7 +144,7 @@ type options struct {
 	feedbackRate float64
 
 	// Parsed by validate.
-	fleet   serve.FleetSpec // -fleet, or -devices TPU workers
+	fleet   serve.FleetSpec // parsed -fleet
 	plan    edgetpu.FaultPlan
 	chaos   map[int]router.ChaosPlan
 	hedge   router.HedgeConfig
@@ -196,9 +195,6 @@ func (o *options) validate() error {
 	if o.load <= 0 {
 		return &flagError{"load", fmt.Sprintf("must be positive, got %g", o.load)}
 	}
-	if o.devices <= 0 {
-		return &flagError{"devices", fmt.Sprintf("must be positive, got %d", o.devices)}
-	}
 	if o.queue < 0 {
 		return &flagError{"queue", fmt.Sprintf("must be non-negative (0 = unbounded), got %d", o.queue)}
 	}
@@ -247,15 +243,11 @@ func (o *options) validate() error {
 	if o.listen != "" && o.routed() {
 		return &flagError{"listen", "the observability endpoint is single-node; not available behind the router"}
 	}
-	if o.fleetSpec != "" {
-		fleet, err := serve.ParseFleet(o.fleetSpec)
-		if err != nil {
-			return &flagError{"fleet", err.Error()}
-		}
-		o.fleet = fleet
-	} else {
-		o.fleet = serve.TPUFleet(o.devices)
+	fleet, err := serve.ParseFleet(o.fleetSpec)
+	if err != nil {
+		return &flagError{"fleet", err.Error()}
 	}
+	o.fleet = fleet
 	if o.faults != "" {
 		plan, err := edgetpu.ParseFaultPlan(o.faults, o.faultSeed)
 		if err != nil {
@@ -311,8 +303,13 @@ func (o *options) validate() error {
 	default:
 		return &flagError{"mem-policy", fmt.Sprintf("want \"lru\" or \"pin\", got %q", o.memPolicy)}
 	}
-	if (o.memBudget > 0 || o.memPolicy != "") && len(o.models) == 0 {
-		return &flagError{"mem-budget", "device-memory simulation needs -models"}
+	if len(o.models) == 0 {
+		if o.memBudget > 0 {
+			return &flagError{"mem-budget", "device-memory simulation needs -models"}
+		}
+		if o.memPolicy != "" {
+			return &flagError{"mem-policy", "device-memory simulation needs -models"}
+		}
 	}
 	if o.feedbackRate < 0 || o.feedbackRate > 1 {
 		return &flagError{"feedback-rate", fmt.Sprintf("must be in [0, 1], got %g", o.feedbackRate)}
@@ -383,8 +380,7 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("hdc-serve", flag.ContinueOnError)
 	o := &options{}
 	fs.StringVar(&o.data, "data", "", "dataset to serve (synthetic when empty)")
-	fs.IntVar(&o.devices, "devices", 4, "simulated devices (workers)")
-	fs.StringVar(&o.fleetSpec, "fleet", "", "heterogeneous worker fleet, e.g. \"tpu=2,cpu=2\" (overrides -devices)")
+	fs.StringVar(&o.fleetSpec, "fleet", "tpu=4", "worker fleet by backend class, e.g. \"tpu=2,cpu=2\"")
 	fs.IntVar(&o.queue, "queue", 8, "admission queue capacity (0 = unbounded)")
 	fs.DurationVar(&o.deadline, "deadline", 250*time.Millisecond, "default per-request deadline (0 = none)")
 	fs.DurationVar(&o.drain, "drain", 2*time.Second, "graceful-drain deadline (0 = wait forever)")

@@ -14,17 +14,17 @@ import (
 // field at a time.
 func validOptions() *options {
 	return &options{
-		devices:  4,
-		queue:    8,
-		deadline: 250 * time.Millisecond,
-		drain:    2 * time.Second,
-		requests: 400,
-		load:     2.0,
-		pace:     4 * time.Millisecond,
-		batch:    1,
-		dim:      512,
-		epochs:   3,
-		nodes:    1,
+		fleetSpec: "tpu=4",
+		queue:     8,
+		deadline:  250 * time.Millisecond,
+		drain:     2 * time.Second,
+		requests:  400,
+		load:      2.0,
+		pace:      4 * time.Millisecond,
+		batch:     1,
+		dim:       512,
+		epochs:    3,
+		nodes:     1,
 	}
 }
 
@@ -33,9 +33,8 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	if err := o.validate(); err != nil {
 		t.Fatalf("baseline options rejected: %v", err)
 	}
-	// Without -fleet, -devices N is shorthand for N TPU workers.
 	if got := o.config().Fleet.String(); got != "tpu=4" {
-		t.Fatalf("-devices 4 config fleet %q, want tpu=4", got)
+		t.Fatalf("-fleet tpu=4 config fleet %q, want tpu=4", got)
 	}
 }
 
@@ -51,7 +50,7 @@ func TestValidateRejections(t *testing.T) {
 		{"negative requests", func(o *options) { o.requests = -5 }, "requests"},
 		{"zero load", func(o *options) { o.load = 0 }, "load"},
 		{"negative load", func(o *options) { o.load = -1 }, "load"},
-		{"zero devices", func(o *options) { o.devices = 0 }, "devices"},
+		{"zero devices", func(o *options) { o.fleetSpec = "tpu=0" }, "fleet"},
 		{"negative queue", func(o *options) { o.queue = -1 }, "queue"},
 		{"negative deadline", func(o *options) { o.deadline = -time.Second }, "deadline"},
 		{"negative drain", func(o *options) { o.drain = -time.Second }, "drain"},
@@ -82,6 +81,8 @@ func TestValidateRejections(t *testing.T) {
 		{"duplicate tenant", func(o *options) { o.tenantSpec = "a;a" }, "tenants"},
 		{"negative mem budget", func(o *options) { o.modelSpec = "a;b"; o.memBudget = -1 }, "mem-budget"},
 		{"mem budget without models", func(o *options) { o.memBudget = 1 << 20 }, "mem-budget"},
+		{"mem policy without models", func(o *options) { o.memPolicy = "pin" }, "mem-policy"},
+		{"default mem policy without models", func(o *options) { o.memPolicy = "lru" }, "mem-policy"},
 		{"unknown mem policy", func(o *options) { o.modelSpec = "a;b"; o.memPolicy = "fifo" }, "mem-policy"},
 		{"bad online spec", func(o *options) { o.onlineSpec = "zzz=1" }, "online"},
 		{"feedback rate above one", func(o *options) { o.onlineSpec = "on"; o.feedbackRate = 1.5 }, "feedback-rate"},
@@ -282,7 +283,14 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-feedback-rate", "0.5"}); err == nil {
 		t.Fatal("parseFlags accepted -feedback-rate without -online")
 	}
-	o, err := parseFlags([]string{"-batch", "4", "-window", "2ms", "-fleet", "tpu=1,cpu=1",
+	o, err := parseFlags(nil)
+	if err != nil {
+		t.Fatalf("parseFlags with defaults: %v", err)
+	}
+	if got := o.fleet.String(); got != "tpu=4" {
+		t.Fatalf("default fleet %q, want tpu=4", got)
+	}
+	o, err = parseFlags([]string{"-batch", "4", "-window", "2ms", "-fleet", "tpu=1,cpu=1",
 		"-scrub-interval", "40ms", "-canary", "2", "-online", "on", "-feedback-rate", "0.5"})
 	if err != nil {
 		t.Fatalf("parseFlags: %v", err)

@@ -97,16 +97,20 @@ func MarginRow(scores *tensor.Tensor, row int) float64 {
 	return top1 - top2
 }
 
+// marginFrac is the margin-collapse threshold as a fraction of the healthy
+// margin: a canary fails if its margin drops below half the recorded one.
+const marginFrac = 0.5
+
 // Check compares an observed answer against the canary's golden one.
 // A label flip always fails; a margin below marginFrac of the recorded
 // healthy margin fails as margin collapse (skipped when the recorded margin
 // is not positive — an ambiguous canary can't collapse further).
-func (c Canary) Check(index, pred int, margin, marginFrac float64) *CanaryError {
+func (c Canary) Check(index, pred int, margin float64) *CanaryError {
 	if pred != c.Label {
 		return &CanaryError{Index: index, Reason: "label flip",
 			WantLabel: c.Label, GotLabel: pred, WantMargin: c.Margin, GotMargin: margin}
 	}
-	if marginFrac > 0 && c.Margin > 0 && margin < marginFrac*c.Margin {
+	if c.Margin > 0 && margin < marginFrac*c.Margin {
 		return &CanaryError{Index: index, Reason: "margin collapse",
 			WantLabel: c.Label, GotLabel: pred, WantMargin: c.Margin, GotMargin: margin}
 	}

@@ -95,10 +95,6 @@ func (e Event) String() string {
 		e.Worker, e.Seq, e.Trigger, seg, e.Action, status)
 }
 
-// DefaultMarginFrac is the margin-collapse threshold when Policy.MarginFrac
-// is unset: a canary fails if its margin drops below half the healthy one.
-const DefaultMarginFrac = 0.5
-
 // maxEvents bounds the per-checker event ring.
 const maxEvents = 256
 
@@ -114,13 +110,6 @@ type Policy struct {
 	CanaryInterval time.Duration
 	// Canaries are the known-answer checks (see BuildCanaries).
 	Canaries []Canary
-	// MarginFrac is the margin-collapse threshold as a fraction of the
-	// healthy margin; 0 means DefaultMarginFrac, negative disables the
-	// margin check (label flips still fail).
-	MarginFrac float64
-	// OnEvent, when set, observes every repair event as it is emitted
-	// (called on the worker goroutine; keep it fast).
-	OnEvent func(Event)
 }
 
 // Enabled reports whether the policy asks for any integrity work.
@@ -234,9 +223,6 @@ func NewChecker(golden *Golden, pol Policy, d Deps) (*Checker, error) {
 	}
 	if pol.ScrubInterval > 0 && d.Target != nil && golden == nil {
 		return nil, fmt.Errorf("integrity: scrubbing a target needs a golden reference")
-	}
-	if pol.MarginFrac == 0 {
-		pol.MarginFrac = DefaultMarginFrac
 	}
 	c := &Checker{pol: pol, golden: golden, d: d, clock: d.Clock,
 		met: newCheckerMetrics(metrics.NewRegistry(), "")}
@@ -395,7 +381,7 @@ func (c *Checker) runCanaries(ctx context.Context, invoke CanaryInvoke) (*Canary
 				WantLabel: cn.Label, GotLabel: -1, WantMargin: cn.Margin}, nil
 		}
 		c.met.canaryRuns.Inc()
-		if ce := cn.Check(i, pred, margin, c.pol.MarginFrac); ce != nil {
+		if ce := cn.Check(i, pred, margin); ce != nil {
 			return ce, nil
 		}
 	}
@@ -537,8 +523,8 @@ func (c *Checker) bumpRung(a Action, cost time.Duration) {
 	c.met.repairSimNs.Add(int64(cost))
 }
 
-// record assigns the event's sequence number, retains it in the bounded
-// ring, and fans it out to OnEvent.
+// record assigns the event's sequence number and retains it in the bounded
+// ring.
 func (c *Checker) record(e *Event) {
 	c.mu.Lock()
 	c.seq++
@@ -548,7 +534,4 @@ func (c *Checker) record(e *Event) {
 		c.events = c.events[len(c.events)-maxEvents:]
 	}
 	c.mu.Unlock()
-	if c.pol.OnEvent != nil {
-		c.pol.OnEvent(*e)
-	}
 }

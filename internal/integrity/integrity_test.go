@@ -191,21 +191,17 @@ func TestBuildCanariesAndCheck(t *testing.T) {
 			t.Fatalf("canary %d: recorded (%d, %v), healthy device (%d, %v)",
 				i, c.Label, c.Margin, pred, margin)
 		}
-		if ce := c.Check(i, pred, margin, 0.5); ce != nil {
+		if ce := c.Check(i, pred, margin); ce != nil {
 			t.Fatalf("healthy canary fails: %v", ce)
 		}
 	}
 	c := cs[0]
-	if ce := c.Check(0, c.Label+1, c.Margin, 0.5); ce == nil || ce.Reason != "label flip" {
+	if ce := c.Check(0, c.Label+1, c.Margin); ce == nil || ce.Reason != "label flip" {
 		t.Fatalf("label flip not caught: %v", ce)
 	}
 	if c.Margin > 0 {
-		if ce := c.Check(0, c.Label, c.Margin*0.25, 0.5); ce == nil || ce.Reason != "margin collapse" {
+		if ce := c.Check(0, c.Label, c.Margin*0.25); ce == nil || ce.Reason != "margin collapse" {
 			t.Fatalf("margin collapse not caught: %v", ce)
-		}
-		// Negative MarginFrac disables the margin check.
-		if ce := c.Check(0, c.Label, 0, -1); ce != nil {
-			t.Fatalf("disabled margin check still fires: %v", ce)
 		}
 	}
 }
@@ -293,11 +289,9 @@ func TestCheckerCanaryEscalatesToQuarantine(t *testing.T) {
 	// quarantine and take the worker out of service.
 	clk := time.Unix(2000, 0)
 	quarantined := false
-	var seen []integrity.Event
 	pol := integrity.Policy{
 		CanaryInterval: time.Millisecond,
 		Canaries:       []integrity.Canary{{Input: []float32{1}, Label: 0, Margin: 10}},
-		OnEvent:        func(e integrity.Event) { seen = append(seen, e) },
 	}
 	ck, err := integrity.NewChecker(nil, pol, integrity.Deps{
 		Worker:     1,
@@ -332,8 +326,8 @@ func TestCheckerCanaryEscalatesToQuarantine(t *testing.T) {
 	if !ck.Quarantined() {
 		t.Fatal("checker not marked quarantined")
 	}
-	if len(seen) != 2 {
-		t.Fatalf("OnEvent saw %d events", len(seen))
+	if seen := ck.Events(); len(seen) != 2 || seen[0] != evs[0] || seen[1] != evs[1] {
+		t.Fatalf("event ring %v, want the two emitted events %v", seen, evs)
 	}
 	if _, ok := ck.NextDue(); ok {
 		t.Fatal("quarantined checker still schedules work")

@@ -22,31 +22,25 @@ func backoffSeq(p RecoveryPolicy, seed uint64, n int) []time.Duration {
 }
 
 func TestBackoffJitterDeterministicUnderFixedSeed(t *testing.T) {
-	// Same policy + same seed ⇒ bit-identical backoff schedule, in both
-	// jitter modes. This is the regression gate for seeded jitter: a
-	// determinism break here would make every fault experiment
-	// unreproducible.
-	for _, mode := range []JitterMode{JitterEqual, JitterFull} {
-		p := DefaultRecoveryPolicy()
-		p.Jitter = mode
-		a := backoffSeq(p, 42, 64)
-		b := backoffSeq(p, 42, 64)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%v jitter: draw %d diverged under the same seed: %v vs %v", mode, i, a[i], b[i])
-			}
+	// Same policy + same seed ⇒ bit-identical backoff schedule. This is
+	// the regression gate for seeded jitter: a determinism break here
+	// would make every fault experiment unreproducible.
+	p := DefaultRecoveryPolicy()
+	a := backoffSeq(p, 42, 64)
+	b := backoffSeq(p, 42, 64)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("draw %d diverged under the same seed: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
 
-func TestBackoffFullJitterDesynchronizesWorkers(t *testing.T) {
+func TestBackoffJitterDesynchronizesWorkers(t *testing.T) {
 	// N workers retrying one shared fault take per-worker seeds (Seed+i,
 	// exactly how serve.New offsets its fleet). Their schedules must not
 	// align: synchronized backoff turns one fault into a retry storm that
-	// re-collides on every attempt. Full jitter must also use the whole
-	// [0, nominal] window, not just a band around nominal.
+	// re-collides on every attempt.
 	p := DefaultRecoveryPolicy()
-	p.Jitter = JitterFull
 	const workers, draws = 8, 32
 	seqs := make([][]time.Duration, workers)
 	for w := range seqs {
@@ -65,32 +59,12 @@ func TestBackoffFullJitterDesynchronizesWorkers(t *testing.T) {
 			}
 		}
 	}
-	// Spread check on the first-attempt waits (nominal = BaseBackoff).
-	lo, hi := false, false
-	for w := 0; w < workers; w++ {
-		for i := 0; i < draws; i += p.MaxRetries { // attempt-1 draws only
-			d := seqs[w][i]
-			if d < 0 || d > p.BaseBackoff {
-				t.Fatalf("full jitter draw %v outside [0, %v]", d, p.BaseBackoff)
-			}
-			if d < p.BaseBackoff/4 {
-				lo = true
-			}
-			if d > 3*p.BaseBackoff/4 {
-				hi = true
-			}
-		}
-	}
-	if !lo || !hi {
-		t.Fatalf("full jitter not spread across the window (low quarter hit: %v, high quarter hit: %v)", lo, hi)
-	}
 }
 
 func TestBackoffEqualJitterStaysInBand(t *testing.T) {
-	// Legacy mode regression: equal jitter stays within ±JitterFrac of the
-	// nominal exponential value, so existing seeded experiments keep their
-	// schedules.
-	p := DefaultRecoveryPolicy() // JitterEqual, JitterFrac 0.2
+	// Equal jitter stays within ±JitterFrac of the nominal exponential
+	// value, so seeded experiments keep their schedules.
+	p := DefaultRecoveryPolicy() // JitterFrac 0.2
 	r := rng.New(7)
 	for attempt := 1; attempt <= p.MaxRetries; attempt++ {
 		nominal := p.BaseBackoff << (attempt - 1)
@@ -105,14 +79,6 @@ func TestBackoffEqualJitterStaysInBand(t *testing.T) {
 				t.Fatalf("attempt %d: equal jitter %v outside [%v, %v]", attempt, d, lo, hi)
 			}
 		}
-	}
-}
-
-func TestRecoveryPolicyRejectsUnknownJitterMode(t *testing.T) {
-	p := DefaultRecoveryPolicy()
-	p.Jitter = JitterMode(7)
-	if err := p.Validate(); err == nil {
-		t.Fatal("unknown JitterMode accepted")
 	}
 }
 

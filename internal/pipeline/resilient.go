@@ -45,16 +45,8 @@ type RecoveryPolicy struct {
 
 	// JitterFrac spreads each backoff uniformly over ±JitterFrac of its
 	// nominal value, drawn from the runner's seeded stream. Must lie in
-	// [0, 1]. Ignored under JitterFull.
+	// [0, 1].
 	JitterFrac float64
-
-	// Jitter selects the jitter distribution. JitterEqual (the zero value)
-	// keeps the legacy ±JitterFrac spread; JitterFull draws each wait
-	// uniformly from [0, nominal], which decorrelates N workers retrying a
-	// shared fault — with equal jitter their waits still cluster inside a
-	// ±20% band and re-collide as a retry storm, while full jitter spreads
-	// them across the whole backoff window.
-	Jitter JitterMode
 
 	// BreakerThreshold is how many consecutive invokes must exhaust their
 	// retries before the circuit breaker opens and routes further invokes
@@ -70,29 +62,6 @@ type RecoveryPolicy struct {
 
 	// Seed drives the backoff jitter stream.
 	Seed uint64
-}
-
-// JitterMode selects the shape of the backoff jitter distribution.
-type JitterMode int
-
-const (
-	// JitterEqual spreads each wait over ±JitterFrac of nominal (legacy;
-	// bit-identical to the pre-mode behavior).
-	JitterEqual JitterMode = iota
-	// JitterFull draws each wait uniformly from [0, nominal] — the
-	// anti-retry-storm distribution.
-	JitterFull
-)
-
-// String renders the mode.
-func (m JitterMode) String() string {
-	switch m {
-	case JitterEqual:
-		return "equal"
-	case JitterFull:
-		return "full"
-	}
-	return fmt.Sprintf("jitter(%d)", int(m))
 }
 
 // BreakerState is the circuit breaker's position.
@@ -150,9 +119,6 @@ func (p RecoveryPolicy) Validate() error {
 	if math.IsNaN(p.JitterFrac) || p.JitterFrac < 0 || p.JitterFrac > 1 {
 		return fmt.Errorf("pipeline: JitterFrac %v outside [0, 1]", p.JitterFrac)
 	}
-	if p.Jitter != JitterEqual && p.Jitter != JitterFull {
-		return fmt.Errorf("pipeline: unknown JitterMode %d", int(p.Jitter))
-	}
 	if p.BreakerThreshold < 1 {
 		return fmt.Errorf("pipeline: BreakerThreshold %d must be at least 1", p.BreakerThreshold)
 	}
@@ -164,7 +130,7 @@ func (p RecoveryPolicy) Validate() error {
 
 // backoff returns the wait before retry `attempt` (1-based): exponential
 // growth from BaseBackoff capped at MaxBackoff, with seeded jitter drawn
-// from r in the configured JitterMode. The result is never negative and
+// from r over ±JitterFrac of nominal. The result is never negative and
 // never exceeds MaxBackoff·(1+JitterFrac), for any seed, attempt, or
 // duration combination (fuzz-checked).
 func (p RecoveryPolicy) backoff(attempt int, r *rng.RNG) time.Duration {
@@ -175,10 +141,7 @@ func (p RecoveryPolicy) backoff(attempt int, r *rng.RNG) time.Duration {
 	if ceil := float64(p.MaxBackoff); d > ceil || math.IsInf(d, 1) {
 		d = ceil
 	}
-	switch {
-	case p.Jitter == JitterFull && r != nil:
-		d *= r.Float64()
-	case p.JitterFrac > 0 && r != nil:
+	if p.JitterFrac > 0 && r != nil {
 		d *= 1 + p.JitterFrac*(2*r.Float64()-1)
 	}
 	if d < 0 {

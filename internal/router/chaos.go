@@ -66,7 +66,6 @@ type ChaosPlan struct {
 	Mode   ChaosMode
 	Factor float64 // ChaosSlow: wall-clock latency multiplier (> 1)
 	Rate   float64 // fraction of requests hit (0 or 1 = all); hang/slow only
-	After  int     // requests served normally before the fault engages
 	Seed   uint64  // drives the Rate coin stream
 }
 
@@ -83,9 +82,6 @@ func (p ChaosPlan) Validate() error {
 	}
 	if math.IsNaN(p.Rate) || p.Rate < 0 || p.Rate > 1 {
 		return fmt.Errorf("router: chaos rate %g outside [0, 1]", p.Rate)
-	}
-	if p.After < 0 {
-		return fmt.Errorf("router: negative chaos After %d", p.After)
 	}
 	if p.Rate > 0 && p.Rate < 1 && p.Mode == ChaosCrash {
 		return fmt.Errorf("router: crash is not rateable; a crashed node stays crashed")
@@ -202,7 +198,6 @@ type ChaosNode struct {
 
 	mu       sync.Mutex
 	coin     *rng.RNG
-	served   int  // requests seen, for the After threshold
 	draining bool // set by Drain; hung requests are then refused
 	hung     map[chan struct{}]struct{}
 }
@@ -222,22 +217,17 @@ func NewChaosNode(inner serve.Node, id int, plan ChaosPlan) (*ChaosNode, error) 
 	}, nil
 }
 
-// active decides, under the plan's request counter and seeded coin,
-// whether this request is hit by the fault.
+// active decides, under the plan's seeded coin, whether this request is
+// hit by the fault.
 func (c *ChaosNode) active() bool {
-	if !c.plan.Enabled() {
+	switch {
+	case !c.plan.Enabled():
 		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.served++
-	if c.served <= c.plan.After {
-		return false
-	}
-	if c.plan.Mode == ChaosCrash {
+	case c.plan.Mode == ChaosCrash:
 		return true // crashes are not rateable; dead stays dead
-	}
-	if c.plan.Rate > 0 && c.plan.Rate < 1 {
+	case c.plan.Rate > 0 && c.plan.Rate < 1:
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		return c.coin.Float64() < c.plan.Rate
 	}
 	return true

@@ -73,10 +73,10 @@ type nodeSlot struct {
 
 // load is the routing weight: live in-flight count, multiplied by the
 // degraded penalty when the health machine has de-weighted the node.
-func (n *nodeSlot) load(penalty float64) float64 {
+func (n *nodeSlot) load() float64 {
 	l := float64(n.inflight.Load())
-	if NodeState(atomic.LoadInt32((*int32)(&n.state))) == NodeDegraded {
-		return (l + 1) * penalty
+	if n.getState() == NodeDegraded {
+		return (l + 1) * degradedPenalty
 	}
 	return l
 }
@@ -157,14 +157,13 @@ func (r *Router) applyProbe(n *nodeSlot, err error, lat time.Duration) {
 		return
 	}
 	n.successes++
-	if n.state != NodeUp && n.successes >= r.cfg.probeRecoverThreshold() {
+	if n.state != NodeUp && n.successes >= probeRecoverThreshold {
 		r.transitionLocked(n, NodeUp, fmt.Sprintf("%d consecutive clean probes", n.successes))
 	}
 }
 
-// transitionLocked records a state change: the typed event (ring +
-// callback), the per-node state gauge, and the transition counter.
-// Caller holds n.mu.
+// transitionLocked records a state change: the typed event in the ring,
+// the per-node state gauge, and the transition counter. Caller holds n.mu.
 func (r *Router) transitionLocked(n *nodeSlot, to NodeState, reason string) {
 	from := n.state
 	n.setStateLocked(to)
@@ -175,24 +174,7 @@ func (r *Router) transitionLocked(n *nodeSlot, to NodeState, reason string) {
 	r.evSeq++
 	ev.Seq = r.evSeq
 	r.events = append(r.events, ev)
-	// The callback runs under evMu so observers see transitions in exactly
-	// Seq order even when nodes transition concurrently.
-	if r.cfg.OnStateChange != nil {
-		r.cfg.OnStateChange(ev)
-	}
 	r.evMu.Unlock()
-	if to == NodeDown && r.cfg.EvictOnDown && !r.draining.Load() {
-		// Evict: release the dead node's queued and in-flight work in the
-		// background, bounded by the eviction timeout. Permanent — a
-		// drained server refuses re-admission.
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.evictDrainTimeout())
-			defer cancel()
-			_ = n.node.Drain(ctx)
-		}()
-	}
 }
 
 // CheckNow runs one synchronous probe round against every node and

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,21 +26,23 @@ type HedgeConfig struct {
 	Enabled bool
 
 	// Delay is the fixed hedge delay. Zero means adaptive: the router
-	// tracks its own end-to-end latency and hedges at the live p99, so
-	// only the slowest ~1% of requests pay the duplicate work.
+	// tracks its own end-to-end latency and hedges at the live p99
+	// (floored at hedgeMinDelay), so only the slowest ~1% of requests pay
+	// the duplicate work.
 	Delay time.Duration
-
-	// MinDelay floors the adaptive delay (and is the whole delay before
-	// enough latency samples exist). Zero defaults to 1ms.
-	MinDelay time.Duration
 }
 
-func (h HedgeConfig) minDelay() time.Duration {
-	if h.MinDelay > 0 {
-		return h.MinDelay
-	}
-	return time.Millisecond
-}
+const (
+	// hedgeMinDelay floors the adaptive hedge delay, and is the whole
+	// delay before any latency sample exists.
+	hedgeMinDelay = time.Millisecond
+	// probeRecoverThreshold is how many consecutive clean probes bring a
+	// degraded or down node back up.
+	probeRecoverThreshold = 2
+	// degradedPenalty multiplies a degraded node's load in the
+	// least-loaded pick, de-weighting it without excluding it.
+	degradedPenalty = 4
+)
 
 // Config parameterizes the routing tier.
 type Config struct {
@@ -56,38 +57,17 @@ type Config struct {
 	// node down. Zero defaults to 3.
 	ProbeFailThreshold int
 
-	// ProbeRecoverThreshold is how many consecutive clean probes bring a
-	// degraded or down node back up. Zero defaults to 2.
-	ProbeRecoverThreshold int
-
 	// DegradedLatency marks a node degraded when a successful probe takes
 	// longer than this. Zero disables the latency criterion (the node's
 	// own health signal still applies).
 	DegradedLatency time.Duration
 
-	// DegradedPenalty multiplies a degraded node's load in the
-	// least-loaded pick, de-weighting it without excluding it. Zero
-	// defaults to 4; 1 disables de-weighting.
-	DegradedPenalty float64
-
 	// ProbeFill populates the probe request's input tensor. Required when
 	// probing is used (the probe is a real request through the node).
 	ProbeFill func(in *tensor.Tensor)
 
-	// EvictOnDown, when set, drains a node in the background the moment it
-	// transitions down, releasing its queued and in-flight work. Eviction
-	// is permanent: a drained server refuses re-admission.
-	EvictOnDown bool
-
-	// EvictDrainTimeout bounds an eviction drain. Zero defaults to 1s.
-	EvictDrainTimeout time.Duration
-
 	// Hedge configures hedged requests.
 	Hedge HedgeConfig
-
-	// OnStateChange, when non-nil, receives every typed state-transition
-	// event synchronously (under the node's health lock — keep it cheap).
-	OnStateChange func(StateEvent)
 
 	// Metrics, when non-nil, is the registry the router streams its
 	// telemetry into; nil gives the router a private registry.
@@ -96,15 +76,11 @@ type Config struct {
 
 // Validate checks the configuration for sanity.
 func (c Config) Validate() error {
-	if c.ProbeInterval < 0 || c.ProbeTimeout < 0 || c.DegradedLatency < 0 ||
-		c.Hedge.Delay < 0 || c.Hedge.MinDelay < 0 || c.EvictDrainTimeout < 0 {
+	if c.ProbeInterval < 0 || c.ProbeTimeout < 0 || c.DegradedLatency < 0 || c.Hedge.Delay < 0 {
 		return errors.New("router: negative duration in config")
 	}
-	if c.ProbeFailThreshold < 0 || c.ProbeRecoverThreshold < 0 {
+	if c.ProbeFailThreshold < 0 {
 		return errors.New("router: negative probe threshold")
-	}
-	if c.DegradedPenalty < 0 || (c.DegradedPenalty > 0 && c.DegradedPenalty < 1) {
-		return fmt.Errorf("router: DegradedPenalty %g must be >= 1 (or 0 for the default)", c.DegradedPenalty)
 	}
 	if c.ProbeInterval > 0 && c.ProbeFill == nil {
 		return errors.New("router: background probing needs ProbeFill")
@@ -124,27 +100,6 @@ func (c Config) probeFailThreshold() int {
 		return c.ProbeFailThreshold
 	}
 	return 3
-}
-
-func (c Config) probeRecoverThreshold() int {
-	if c.ProbeRecoverThreshold > 0 {
-		return c.ProbeRecoverThreshold
-	}
-	return 2
-}
-
-func (c Config) degradedPenalty() float64 {
-	if c.DegradedPenalty >= 1 {
-		return c.DegradedPenalty
-	}
-	return 4
-}
-
-func (c Config) evictDrainTimeout() time.Duration {
-	if c.EvictDrainTimeout > 0 {
-		return c.EvictDrainTimeout
-	}
-	return time.Second
 }
 
 // Router fronts a fleet of serve.Nodes: it health-probes them, routes each
@@ -224,14 +179,13 @@ func (r *Router) Health() serve.Health {
 // failing over to a probably-dead node beats refusing outright, and its
 // error then settles the request honestly.
 func (r *Router) pick(tried []bool) *nodeSlot {
-	penalty := r.cfg.degradedPenalty()
 	var best, fallback *nodeSlot
 	var bestLoad, fbLoad float64
 	for _, n := range r.nodes {
 		if tried[n.id] {
 			continue
 		}
-		l := n.load(penalty)
+		l := n.load()
 		if fallback == nil || l < fbLoad {
 			fallback, fbLoad = n, l
 		}
@@ -341,20 +295,14 @@ type hedgeAttempt struct {
 
 // hedgeDelay is how long the primary attempt runs alone before a hedge
 // fires: the configured fixed delay, or the router's live latency p99
-// (floored at MinDelay) when adaptive.
+// (floored at hedgeMinDelay) when adaptive.
 func (r *Router) hedgeDelay() time.Duration {
 	if r.cfg.Hedge.Delay > 0 {
 		return r.cfg.Hedge.Delay
 	}
-	snap := r.met.latency.Snapshot()
-	if snap.Count() == 0 {
-		return r.cfg.Hedge.minDelay()
-	}
-	d := snap.Quantile(0.99)
-	if floor := r.cfg.Hedge.minDelay(); d < floor {
-		d = floor
-	}
-	return d
+	// An empty snapshot's quantile is zero, so the floor is also the
+	// delay before any latency sample exists.
+	return max(r.met.latency.Snapshot().Quantile(0.99), hedgeMinDelay)
 }
 
 // routeHedged runs the hedged path: launch the primary attempt, and if it

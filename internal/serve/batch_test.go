@@ -10,6 +10,7 @@ import (
 	"hdcedge/internal/edgetpu"
 	"hdcedge/internal/hdc"
 	"hdcedge/internal/pipeline"
+	"hdcedge/internal/registry"
 	"hdcedge/internal/tensor"
 )
 
@@ -155,6 +156,27 @@ func TestServeBatchDeterministicVsSequential(t *testing.T) {
 	}
 }
 
+func TestServeBatchWindowExpiryWakesWorker(t *testing.T) {
+	// A window far shorter than the worker's path from starting the
+	// window timer to waiting on it: the timer usually fires first. Each
+	// lone request must still dispatch when the window expires, not sit
+	// with its worker until the next arrival or its own deadline.
+	p, cm, ds := serveBatchModel(t, 4)
+	s, err := New(p, cm, Config{Policy: fastPolicy(), MaxBatch: 4, BatchWindow: time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 100; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		_, err := s.Do(ctx, rowFill(ds, i%ds.Samples()), nil)
+		cancel()
+		if err != nil {
+			t.Fatalf("lone request %d stranded in an expired window: %v", i, err)
+		}
+	}
+}
+
 func TestServeBatchWindowRespectsDeadline(t *testing.T) {
 	// A lone request with a deadline far shorter than the batch window must
 	// dispatch on the half-slack bound and complete, never waiting out the
@@ -229,5 +251,35 @@ func TestServeBatchConcurrentMixedDeadlines(t *testing.T) {
 	}
 	if rep.BatchRows < rep.Completed {
 		t.Fatalf("batch rows %d < completed %d", rep.BatchRows, rep.Completed)
+	}
+}
+
+// TestServeRowViewCacheBounded: every hot swap rebinds the model onto new
+// engine tensors, and the worker's row-view cache must let the replaced
+// ones go rather than grow by one entry per swap.
+func TestServeRowViewCacheBounded(t *testing.T) {
+	p, cm, ds := serveBatchModel(t, 4)
+	g := registry.New()
+	if _, err := g.Register("m", cm, nil); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, nil, Config{Policy: fastPolicy(), Registry: g, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const swaps = 20
+	for i := 0; i < swaps; i++ {
+		if _, err := g.Swap("m", cm, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Do(context.Background(), rowFill(ds, i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.workers[0].rowViews); n > maxRowViewTensors {
+		t.Fatalf("row-view cache holds %d tensors after %d swaps, want at most %d", n, swaps, maxRowViewTensors)
 	}
 }

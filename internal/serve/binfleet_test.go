@@ -13,6 +13,7 @@ import (
 	"hdcedge/internal/edgetpu"
 	"hdcedge/internal/hdc"
 	"hdcedge/internal/pipeline"
+	"hdcedge/internal/registry"
 	"hdcedge/internal/tensor"
 )
 
@@ -63,6 +64,41 @@ func TestBinFleetRequiresBipolar(t *testing.T) {
 	cfg.Bipolar = &hdc.BipolarModel{}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("bin fleet with Bipolar rejected: %v", err)
+	}
+}
+
+// TestBinFleetFromRegistry: with a Registry, bin workers serve each entry's
+// own bipolar form, so Config.Bipolar may stay nil; an entry without one is
+// still refused.
+func TestBinFleetFromRegistry(t *testing.T) {
+	p, cm, model, ds := binServeModel(t, 1)
+	bm := model.Binarize()
+	g := registry.New()
+	if _, err := g.Register("m", cm, bm); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, nil, Config{Fleet: FleetSpec{binhd.Name}, Registry: g})
+	if err != nil {
+		t.Fatalf("bin fleet over a registry with bipolar entries rejected: %v", err)
+	}
+	defer s.Close()
+	n := ds.Features()
+	var got int32
+	res, err := s.Do(context.Background(), rowFill(ds, 0), func(out *tensor.Tensor) { got = out.I32[0] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bm.Predict(ds.X.F32[:n]); res.Backend != binhd.Name || int(got) != want {
+		t.Fatalf("served %d on %q, want %d on %q", got, res.Backend, want, binhd.Name)
+	}
+
+	bare := registry.New()
+	if _, err := bare.Register("m", cm, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(p, nil, Config{Fleet: FleetSpec{binhd.Name}, Registry: bare})
+	if err == nil || !strings.Contains(err.Error(), "bipolar") {
+		t.Fatalf("registry entry without a bipolar form: got %v, want a refusal naming it", err)
 	}
 }
 

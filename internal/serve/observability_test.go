@@ -495,7 +495,7 @@ func TestSnapshotMonotoneUnderSaturatedFleet(t *testing.T) {
 // backend and batch annotations; the ring is bounded.
 func TestTraceRing(t *testing.T) {
 	p, cm, ds := serveModel(t)
-	s, err := New(p, cm, Config{Policy: fastPolicy(), TraceDepth: 4})
+	s, err := New(p, cm, Config{Policy: fastPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,8 +509,8 @@ func TestTraceRing(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	traces := s.Traces()
-	if len(traces) != 4 {
-		t.Fatalf("ring holds %d traces, want 4 (depth)", len(traces))
+	if len(traces) != n {
+		t.Fatalf("ring holds %d traces, want %d", len(traces), n)
 	}
 	for i, tr := range traces {
 		if i > 0 && tr.ID <= traces[i-1].ID {
@@ -534,17 +534,20 @@ func TestTraceRing(t *testing.T) {
 		t.Errorf("newest trace ID %d, want %d", last, n)
 	}
 
-	// Disabled tracing stores nothing.
-	s2, err := New(p, cm, Config{Policy: fastPolicy(), TraceDepth: -1})
-	if err != nil {
-		t.Fatal(err)
+	// The ring is bounded and keeps the most recent settles, oldest first.
+	ring := newTraceRing(4)
+	now := time.Now()
+	for id := uint64(1); id <= n; id++ {
+		ring.record(&request{id: id, enq: now}, outcome{}, now, now)
 	}
-	if _, err := s2.Do(context.Background(), rowFill(ds, 0), nil); err != nil {
-		t.Fatal(err)
+	kept := ring.list()
+	if len(kept) != 4 {
+		t.Fatalf("ring holds %d traces, want 4 (depth)", len(kept))
 	}
-	s2.Close()
-	if got := s2.Traces(); len(got) != 0 {
-		t.Fatalf("disabled tracing stored %d traces", len(got))
+	for i, tr := range kept {
+		if want := uint64(n - 3 + i); tr.ID != want {
+			t.Errorf("kept trace %d has ID %d, want %d", i, tr.ID, want)
+		}
 	}
 }
 

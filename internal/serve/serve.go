@@ -103,8 +103,7 @@ func ParseFleet(spec string) (FleetSpec, error) {
 	return fleet, nil
 }
 
-// TPUFleet returns an all-accelerator fleet of n workers, the pool the
-// hdc-serve -devices flag describes.
+// TPUFleet returns an all-accelerator fleet of n workers.
 func TPUFleet(n int) FleetSpec {
 	fleet := make(FleetSpec, n)
 	for i := range fleet {
@@ -176,9 +175,10 @@ type Config struct {
 	PaceScale float64
 
 	// MaxBatch is how many queued requests one worker may coalesce into a
-	// single device invoke (rows of one input tensor, one InvokeCtx). It
-	// must not exceed the compiled model's batch capacity. Zero or one
-	// serves one request per invoke — the pre-batching behavior.
+	// single device invoke (rows of one input tensor, one
+	// ResilientRunner.InvokeBatchCtx over the occupied rows). It must not
+	// exceed the compiled model's batch capacity. Zero or one serves one
+	// request per invoke, priced as one row.
 	MaxBatch int
 
 	// BatchWindow bounds how long a worker holds an underfull batch open
@@ -195,11 +195,6 @@ type Config struct {
 	// either way it is reachable via Server.Metrics() and snapshottable at
 	// any time, including mid-invoke.
 	Metrics *metrics.Registry
-
-	// TraceDepth bounds the per-request trace ring: the most recent
-	// TraceDepth settled requests keep their span breakdown (see Trace).
-	// Zero means DefaultTraceDepth; negative disables tracing.
-	TraceDepth int
 
 	// Bipolar is the sign-quantized model binary-HDC ("bin") workers
 	// serve. Required when Fleet contains binhd.Name; ignored otherwise,
@@ -271,7 +266,8 @@ func (c Config) Validate() error {
 		if !knownFleetClass(kind) {
 			return fmt.Errorf("serve: fleet worker %d has unknown backend class %q", i, kind)
 		}
-		if kind == binhd.Name && c.Bipolar == nil {
+		// With a Registry, New checks each entry's own bipolar form instead.
+		if kind == binhd.Name && c.Bipolar == nil && c.Registry == nil {
 			return fmt.Errorf("serve: fleet worker %d is %q but Config.Bipolar is nil", i, binhd.Name)
 		}
 	}
@@ -493,14 +489,15 @@ type worker struct {
 
 	// rowViews caches per-row views of the engine tensors the worker
 	// scatters to, keyed by the backing tensor (which changes when the
-	// runner reloads the model or switches to the host interpreter). Only
-	// the worker goroutine touches it.
+	// runner reloads the model, switches to the host interpreter, or a
+	// hot swap rebinds the model). Only the worker goroutine touches it.
 	rowViews map[*tensor.Tensor][]*tensor.Tensor
 }
 
-// wholeTensor is rowView's unbatched counterpart: a lone request owns the
-// whole tensor.
-func wholeTensor(t *tensor.Tensor, _ int) *tensor.Tensor { return t }
+// maxRowViewTensors bounds the row-view cache: the input and output
+// tensors of a primary engine and of its host fallback. A miss beyond it
+// starts the cache afresh, so replaced tensors are not kept alive.
+const maxRowViewTensors = 4
 
 // rowView returns a cached single-row view of t ([1, ...] at row i).
 func (w *worker) rowView(t *tensor.Tensor, i int) *tensor.Tensor {
@@ -509,6 +506,9 @@ func (w *worker) rowView(t *tensor.Tensor, i int) *tensor.Tensor {
 	}
 	vs, ok := w.rowViews[t]
 	if !ok {
+		if len(w.rowViews) >= maxRowViewTensors {
+			clear(w.rowViews)
+		}
 		vs = make([]*tensor.Tensor, t.Shape[0])
 		w.rowViews[t] = vs
 	}
@@ -614,7 +614,7 @@ func New(p pipeline.Platform, cm *edgetpu.CompiledModel, cfg Config) (*Server, e
 		defModel: defEntry.ID,
 		pending:  make(map[*request]struct{}),
 		met:      newServeMetrics(reg),
-		traces:   newTraceRing(cfg.TraceDepth),
+		traces:   newTraceRing(traceDepth),
 	}
 	s.sched = newScheduler(cfg.Tenants)
 	if len(cfg.Tenants) > 0 {
@@ -1033,7 +1033,7 @@ func (s *Server) nextBatch(w *worker) []*request {
 				// An arrival Signals the cond; the timer broadcasts so a
 				// due scrub/canary wakes this worker even if an arrival
 				// woke a different one.
-				t := time.AfterFunc(wait, s.cond.Broadcast)
+				t := s.wakeAfter(wait)
 				s.cond.Wait()
 				t.Stop()
 				continue
@@ -1069,7 +1069,7 @@ func (s *Server) nextBatch(w *worker) []*request {
 		}
 		// Arrivals Signal the cond; the timer broadcasts so a window expiry
 		// always wakes this worker even if an arrival woke a different one.
-		t := time.AfterFunc(wait, s.cond.Broadcast)
+		t := s.wakeAfter(wait)
 		s.cond.Wait()
 		t.Stop()
 		n := len(batch)
@@ -1077,6 +1077,18 @@ func (s *Server) nextBatch(w *worker) []*request {
 		tighten(batch[n:])
 	}
 	return batch
+}
+
+// wakeAfter broadcasts s.cond once d has passed. The caller holds s.mu
+// from this call until its cond.Wait, and the broadcast takes s.mu, so a
+// timer that fires first cannot broadcast before the caller is waiting and
+// leave it asleep with its batch.
+func (s *Server) wakeAfter(d time.Duration) *time.Timer {
+	return time.AfterFunc(d, func() {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
 }
 
 // workerLoop drains the queue through one device until shutdown.
@@ -1192,15 +1204,13 @@ func (s *Server) bind(w *worker, model string) (*modelBind, time.Duration, error
 
 // invokeBatch serves a coalesced batch through one device invoke: members'
 // samples pack into consecutive rows of the input tensor, the runner executes
-// the occupied row prefix, and each member reads back its own output row.
-// With MaxBatch ≤ 1 the batch is always a single request and the invoke takes
-// exactly the pre-batching path (full-tensor fill, full invoke). All batch
-// members share one model (popLocked guarantees it); the worker binds it
+// the occupied row prefix, and each member reads back its own output row. On
+// a capacity-1 model the one-row invoke is a full one. All batch members
+// share one model (popLocked guarantees it); the worker binds it
 // first, paying the re-setup bill if the device memory missed.
 func (s *Server) invokeBatch(w *worker, batch []*request) {
 	rows := len(batch)
 	start := time.Now()
-	batched := s.cfg.MaxBatch > 1
 
 	b, swap, berr := s.bind(w, batch[0].model)
 	if berr != nil {
@@ -1258,15 +1268,9 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 		}()
 	}
 
-	// Unbatched, the lone request sees the whole tensors and the invoke is
-	// a full one (rows 0), so MaxBatch ≤ 1 keeps full-invoke pricing.
-	slot, invRows := w.rowView, rows
-	if !batched {
-		slot, invRows = wholeTensor, 0
-	}
-	t, err := b.runner.InvokeBatchCtx(ictx, invRows, func(in *tensor.Tensor) {
+	t, err := b.runner.InvokeBatchCtx(ictx, rows, func(in *tensor.Tensor) {
 		for i, r := range batch {
-			r.fill(slot(in, i))
+			r.fill(w.rowView(in, i))
 		}
 	})
 	onHost := err == nil && b.runner.OnHost()
@@ -1349,7 +1353,7 @@ func (s *Server) invokeBatch(w *worker, batch []*request) {
 			continue
 		}
 		if r.consume != nil {
-			r.consume(slot(out, i))
+			r.consume(w.rowView(out, i))
 		}
 		// Count the request before delivering it, so a Report taken as
 		// soon as Submit returns already holds it.

@@ -60,7 +60,7 @@ func workerSeries(metric, lead string, worker int, class string, cm *edgetpu.Com
 }
 
 // fastPolicy keeps wall-clock backoff negligible so fault-path tests run
-// quickly even though InvokeCtx really sleeps.
+// quickly even though InvokeBatchCtx really sleeps.
 func fastPolicy() pipeline.RecoveryPolicy {
 	p := pipeline.DefaultRecoveryPolicy()
 	p.BaseBackoff = time.Microsecond

@@ -7,9 +7,9 @@ import (
 	"hdcedge/internal/pipeline"
 )
 
-// DefaultTraceDepth is the trace ring capacity when Config.TraceDepth is
-// zero.
-const DefaultTraceDepth = 256
+// traceDepth is the server's trace ring capacity: the most recent
+// traceDepth settled requests keep their span breakdown.
+const traceDepth = 256
 
 // Trace is the span breakdown of one settled request: how long it spent in
 // each stage of its life (admit → queue → batch-hold → invoke → settle),
@@ -50,20 +50,13 @@ type invokeSpan struct {
 // traceRing is a bounded ring of the most recent settled-request traces.
 type traceRing struct {
 	mu   sync.Mutex
-	buf  []Trace // nil when tracing is disabled
-	next int     // slot the next trace lands in
-	n    int     // occupied slots
+	buf  []Trace
+	next int // slot the next trace lands in
+	n    int // occupied slots
 }
 
-// newTraceRing sizes the ring: depth slots, DefaultTraceDepth when depth is
-// zero, disabled when negative.
+// newTraceRing sizes the ring at depth slots.
 func newTraceRing(depth int) *traceRing {
-	if depth == 0 {
-		depth = DefaultTraceDepth
-	}
-	if depth < 0 {
-		return &traceRing{}
-	}
 	return &traceRing{buf: make([]Trace, depth)}
 }
 
@@ -71,9 +64,6 @@ func newTraceRing(depth int) *traceRing {
 // the winning settler only, after the request's fate is decided; deq is the
 // request's dequeue time as read under s.mu, now the settlement instant.
 func (t *traceRing) record(r *request, o outcome, deq, now time.Time) {
-	if t.buf == nil {
-		return
-	}
 	tr := Trace{
 		ID:       r.id,
 		Admitted: r.enq,
@@ -121,7 +111,7 @@ func (t *traceRing) list() []Trace {
 }
 
 // Traces returns the most recent settled-request traces, oldest first, up
-// to the configured TraceDepth. Empty when tracing is disabled.
+// to traceDepth of them.
 func (s *Server) Traces() []Trace {
 	return s.traces.list()
 }
