@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"hdcedge/internal/experiments"
+	"hdcedge/internal/metrics"
 )
 
 // benchCfg keeps functional artifact regeneration at benchmark-friendly
@@ -72,7 +73,7 @@ func BenchmarkFig5_TrainingRuntime(b *testing.B) {
 		}
 		for _, r := range rows {
 			if r.Dataset == "MNIST" {
-				mnistSpeedup = r.TotalSpeedupTPUB()
+				mnistSpeedup = metrics.Speedup(r.CPU.Total(), r.TPUB.Total())
 			}
 		}
 	}
@@ -184,21 +185,28 @@ func BenchmarkFig10_FeatureSweep(b *testing.B) {
 	b.ReportMetric(high, "n700-speedup")
 }
 
-func BenchmarkAblation_Encoding(b *testing.B) {
+func BenchmarkAblation_Model(b *testing.B) {
 	cfg := benchCfg()
-	var meanDelta float64
+	var overLinear, onlineGap, bipolarDrop, overIDLevel float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationEncoding(cfg)
+		rows, err := experiments.AblationModel(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		meanDelta = 0
+		overLinear, onlineGap, bipolarDrop, overIDLevel = 0, 0, 0, 0
 		for _, r := range rows {
-			meanDelta += r.Nonlinear - r.Linear
+			overLinear += r.Tanh - r.Linear
+			onlineGap += r.Tanh - r.OnlineOne
+			bipolarDrop += r.Tanh - r.Bipolar
+			overIDLevel += r.Tanh - r.IDLevel
 		}
-		meanDelta /= float64(len(rows))
+		n := float64(len(rows))
+		overLinear, onlineGap, bipolarDrop, overIDLevel = overLinear/n, onlineGap/n, bipolarDrop/n, overIDLevel/n
 	}
-	b.ReportMetric(100*meanDelta, "tanh-vs-linear-pts")
+	b.ReportMetric(100*overLinear, "tanh-vs-linear-pts")
+	b.ReportMetric(100*onlineGap, "iterative-minus-1pass-pts")
+	b.ReportMetric(100*bipolarDrop, "bipolar-acc-drop-pts")
+	b.ReportMetric(100*overIDLevel, "projection-vs-idlevel-pts")
 }
 
 func BenchmarkAblation_FusedVsSerial(b *testing.B) {
@@ -273,57 +281,6 @@ func BenchmarkAblation_Robustness(b *testing.B) {
 		gap = res.CorruptLargeD[3].Accuracy - res.CorruptSmallD[3].Accuracy
 	}
 	b.ReportMetric(100*gap, "large-d-robustness-gap-pts")
-}
-
-func BenchmarkAblation_Online(b *testing.B) {
-	cfg := benchCfg()
-	var meanGap float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationOnline(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		meanGap = 0
-		for _, r := range rows {
-			meanGap += r.Iterative - r.OnlineOne
-		}
-		meanGap /= float64(len(rows))
-	}
-	b.ReportMetric(100*meanGap, "iterative-minus-1pass-pts")
-}
-
-func BenchmarkAblation_Binary(b *testing.B) {
-	cfg := benchCfg()
-	var meanDrop float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationBinary(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		meanDrop = 0
-		for _, r := range rows {
-			meanDrop += r.FloatAcc - r.BinaryAcc
-		}
-		meanDrop /= float64(len(rows))
-	}
-	b.ReportMetric(100*meanDrop, "bipolar-acc-drop-pts")
-}
-
-func BenchmarkAblation_EncoderCompare(b *testing.B) {
-	cfg := benchCfg()
-	var meanDelta float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationEncoderCompare(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		meanDelta = 0
-		for _, r := range rows {
-			meanDelta += r.Projection - r.IDLevel
-		}
-		meanDelta /= float64(len(rows))
-	}
-	b.ReportMetric(100*meanDelta, "projection-vs-idlevel-pts")
 }
 
 func BenchmarkAblation_Link(b *testing.B) {

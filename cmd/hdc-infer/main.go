@@ -29,7 +29,7 @@ func main() {
 	data := flag.String("data", "", "dataset to classify (required)")
 	device := flag.Bool("device", false, "run on the simulated Edge TPU")
 	batch := flag.Int("batch", pipeline.DefaultInferBatch, "device invoke batch")
-	confusion := flag.Bool("confusion", false, "print the confusion matrix")
+	confusion := flag.Bool("confusion", false, "print the confusion matrix and macro-F1")
 	profile := flag.Bool("profile", false, "with -device: print the per-op execution profile")
 	faults := flag.String("faults", "", "with -device: fault plan, e.g. \"link=0.05,seu=1e-6\"")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault-injection stream")
@@ -95,6 +95,7 @@ func main() {
 			}
 			fmt.Println()
 		}
+		fmt.Printf("macro-F1: %.3f\n", cm.MacroF1())
 	}
 }
 

@@ -40,9 +40,6 @@ import (
 // Model is a trained HDC classifier (an encoder plus class hypervectors).
 type Model = hdc.Model
 
-// Encoder maps feature vectors to hypervectors.
-type Encoder = hdc.Encoder
-
 // TrainConfig controls HDC training.
 type TrainConfig = hdc.TrainConfig
 
@@ -63,11 +60,6 @@ func Train(train, val *Dataset, cfg TrainConfig) (*Model, *TrainStats, error) {
 
 // LoadModel reads a model saved with Model.Save.
 func LoadModel(path string) (*Model, error) { return hdc.LoadModel(path) }
-
-// NewEncoder draws base hypervectors for nFeatures inputs at width dim.
-func NewEncoder(nFeatures, dim int, nonlinear bool, r *RNG) *Encoder {
-	return hdc.NewEncoder(nFeatures, dim, nonlinear, r)
-}
 
 // --- Bagging ---
 
@@ -147,44 +139,6 @@ func TrainOnDevice(p Platform, train *Dataset, cfg TrainConfig) (*pipeline.Funct
 // post-training quantization (normally the training set).
 func InferOnDevice(p Platform, m *Model, test, calib *Dataset, batch int) ([]int, DeviceTiming, error) {
 	return pipeline.InferOnDevice(p, m, test, calib, batch)
-}
-
-// --- Fault injection and resilient execution ---
-
-// FaultPlan configures seeded fault injection on the simulated accelerator:
-// transient link errors, spontaneous device resets, and parameter-SRAM bit
-// upsets. The zero value injects nothing.
-type FaultPlan = edgetpu.FaultPlan
-
-// RecoveryPolicy controls retry, backoff, reload, and circuit-breaker
-// behavior of the resilient runtime.
-type RecoveryPolicy = pipeline.RecoveryPolicy
-
-// ReliabilityReport records what the resilient runtime did to keep a run
-// alive under faults.
-type ReliabilityReport = pipeline.ReliabilityReport
-
-// ParseFaultPlan builds a plan from a spec string such as
-// "link=0.01,reset=0.001,seu=1e-7,timeout=5ms".
-func ParseFaultPlan(spec string, seed uint64) (FaultPlan, error) {
-	return edgetpu.ParseFaultPlan(spec, seed)
-}
-
-// DefaultRecoveryPolicy returns the standard retry/backoff/breaker settings.
-func DefaultRecoveryPolicy() RecoveryPolicy { return pipeline.DefaultRecoveryPolicy() }
-
-// TrainOnDeviceResilient is TrainOnDevice with the accelerator driven under
-// the fault plan; transient faults are absorbed by retry, reload, and
-// host-CPU fallback, so the trained model matches the healthy run's.
-func TrainOnDeviceResilient(p Platform, train *Dataset, cfg TrainConfig, plan FaultPlan, policy RecoveryPolicy) (*pipeline.FunctionalResult, *ReliabilityReport, error) {
-	return pipeline.TrainOnDeviceResilient(p, train, cfg, plan, policy)
-}
-
-// InferOnDeviceResilient is InferOnDevice under a fault plan. Parameter SEUs
-// can genuinely degrade predictions between reloads; everything else is
-// absorbed exactly.
-func InferOnDeviceResilient(p Platform, m *Model, test, calib *Dataset, batch int, plan FaultPlan, policy RecoveryPolicy) ([]int, DeviceTiming, *ReliabilityReport, error) {
-	return pipeline.InferOnDeviceResilient(p, m, test, calib, batch, plan, policy)
 }
 
 // --- Paper artifacts ---

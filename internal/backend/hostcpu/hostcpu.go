@@ -124,12 +124,6 @@ func (b *Backend) InvokeBatch(rows int) (backend.Timing, error) {
 // survives: it is keyed by the model, which has not changed.
 func (b *Backend) Reset() (time.Duration, error) { return b.Load(b.m) }
 
-// ModelTime prices one full invocation of a (typically quantized) model on
-// the host CPU using the cpuarch primitives.
-func ModelTime(host cpuarch.Spec, m *tflite.Model) time.Duration {
-	return ModelTimeRows(host, m, 0)
-}
-
 // ModelTimeRows prices one invocation at an effective batch of rows
 // occupied sample rows. rows <= 0 (or >= the model's batch capacity) prices
 // the full batch with exactly the unscaled arithmetic. On row-sliceable

@@ -287,7 +287,7 @@ func (e *Ensemble) Fuse() *hdc.Model {
 
 // PredictVote classifies by majority vote over sub-model predictions, the
 // classical bagging consensus. Ties break toward the lowest class index.
-// It exists for comparison against the fused score-sum model.
+// It is the baseline tests hold the fused score-sum model against.
 func (e *Ensemble) PredictVote(features []float32) int {
 	k := e.Subs[0].K()
 	votes := make([]int, k)

@@ -251,21 +251,31 @@ func TestFusedModelWithMasksIgnoresMaskedFeatures(t *testing.T) {
 	_ = test
 }
 
+// TestPredictVoteReasonable checks the classical majority-vote consensus
+// and that the fused model, which sums sub-model scores, is no less
+// accurate than it.
 func TestPredictVoteReasonable(t *testing.T) {
 	train, test := synthSplit(t, 58)
 	ens, _, err := Train(train, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	correct := 0
+	fused := ens.Fuse()
+	voted, summed := 0, 0
 	nProbe := min(300, test.Samples())
 	for i := 0; i < nProbe; i++ {
 		if ens.PredictVote(test.X.Row(i)) == test.Y[i] {
-			correct++
+			voted++
+		}
+		if fused.Predict(test.X.Row(i)) == test.Y[i] {
+			summed++
 		}
 	}
-	if acc := float64(correct) / float64(nProbe); acc < 0.6 {
+	if acc := float64(voted) / float64(nProbe); acc < 0.6 {
 		t.Fatalf("majority-vote accuracy %.3f; chance 0.2", acc)
+	}
+	if summed < voted {
+		t.Fatalf("fused score sum got %d of %d right, majority vote %d", summed, nProbe, voted)
 	}
 }
 

@@ -266,17 +266,6 @@ func (d *Dataset) subset(idx []int) *Dataset {
 	return out
 }
 
-// ClassCounts returns a histogram of the labels.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Y {
-		if y >= 0 && y < d.Classes {
-			counts[y]++
-		}
-	}
-	return counts
-}
-
 // WithNoise returns a copy of the dataset with i.i.d. Gaussian noise of
 // the given standard deviation added to every feature. Because generated
 // datasets are standardized, std is directly in units of feature standard

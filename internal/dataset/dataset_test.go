@@ -58,7 +58,7 @@ func TestGenerateShapeAndLabels(t *testing.T) {
 			t.Fatalf("label %d out of range", y)
 		}
 	}
-	counts := ds.ClassCounts()
+	counts := classCounts(ds)
 	for c, n := range counts {
 		if n < 150 || n > 250 {
 			t.Fatalf("class %d has %d samples of 1000; want near-balanced", c, n)
@@ -195,7 +195,7 @@ func TestSplit(t *testing.T) {
 	for _, y := range append(append([]int{}, train.Y...), test.Y...) {
 		total[y]++
 	}
-	orig := ds.ClassCounts()
+	orig := classCounts(ds)
 	for c := range orig {
 		if total[c] != orig[c] {
 			t.Fatalf("class %d count changed: %d vs %d", c, total[c], orig[c])
@@ -295,8 +295,8 @@ func TestSplitStratifiedPreservesDistribution(t *testing.T) {
 	if train.Samples()+test.Samples() != ds.Samples() {
 		t.Fatalf("split loses samples: %d + %d", train.Samples(), test.Samples())
 	}
-	orig := ds.ClassCounts()
-	testCounts := test.ClassCounts()
+	orig := classCounts(ds)
+	testCounts := classCounts(test)
 	for c := range orig {
 		want := int(float64(orig[c]) * 0.2)
 		if testCounts[c] < want-1 || testCounts[c] > want+1 {
@@ -312,9 +312,9 @@ func TestSplitStratifiedTinyClasses(t *testing.T) {
 	ds.Classes = 3
 	ds.Y[0], ds.Y[1] = 2, 2
 	train, test := ds.SplitStratified(0.2, rng.New(23))
-	if train.ClassCounts()[2] != 1 || test.ClassCounts()[2] != 1 {
+	if classCounts(train)[2] != 1 || classCounts(test)[2] != 1 {
 		t.Fatalf("tiny class split train=%d test=%d, want 1/1",
-			train.ClassCounts()[2], test.ClassCounts()[2])
+			classCounts(train)[2], classCounts(test)[2])
 	}
 }
 
@@ -347,4 +347,13 @@ func TestLoadBinaryCorruptionNeverPanics(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// classCounts returns a histogram of d's labels.
+func classCounts(d *Dataset) []int {
+	counts := make([]int, d.Classes)
+	for _, y := range d.Y {
+		counts[y]++
+	}
+	return counts
 }

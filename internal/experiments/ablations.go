@@ -16,55 +16,97 @@ import (
 // framework's design choices. They are not paper artifacts, but each one
 // isolates a decision the paper makes implicitly.
 
-// EncodingAblationRow compares tanh (paper) vs linear (prior work)
-// encoding accuracy on one dataset.
-type EncodingAblationRow struct {
-	Dataset   string
-	Nonlinear float64
-	Linear    float64
+// ModelRow compares the paper's reference model with each alternative to
+// it on one dataset. The reference is the tanh random-projection encoder,
+// perceptron-trained for cfg.Epochs iterations and kept in float: the
+// §III-A choice that makes encoding a matmul the accelerator can run. Every
+// other column changes one thing about that model.
+type ModelRow struct {
+	Dataset string
+	Tanh    float64 // the reference model
+	Linear  float64 // linear projection encoder (prior work)
+	// IDLevel is the record-based ID–level encoder. Its per-value gather is
+	// element-wise, so it stays on the CPU.
+	IDLevel     float64
+	OnlineOne   float64 // one OnlineHD-style adaptive pass
+	OnlineThree float64 // three adaptive passes
+	Bipolar     float64 // the reference model's classes sign-quantized
+	FloatBytes  int     // the reference model's class hypervectors
+	PackedBytes int     // the same, bit-packed
 }
 
-// AblationEncoding trains both encoders on every catalog dataset.
-func AblationEncoding(cfg Config) ([]EncodingAblationRow, error) {
-	var rows []EncodingAblationRow
+// AblationModel trains the reference model once per catalog dataset and
+// each alternative beside it.
+func AblationModel(cfg Config) ([]ModelRow, error) {
+	var rows []ModelRow
 	for _, name := range DatasetNames() {
 		train, test, err := loadSplit(name, cfg)
 		if err != nil {
 			return nil, err
 		}
-		base := hdc.TrainConfig{
-			Dim: cfg.FunctionalDim, Epochs: cfg.Epochs, LearningRate: 1, Seed: cfg.Seed,
+		ref := hdc.TrainConfig{
+			Dim: cfg.FunctionalDim, Epochs: cfg.Epochs, LearningRate: 1, Nonlinear: true, Seed: cfg.Seed,
 		}
-		nl := base
-		nl.Nonlinear = true
-		mNL, _, err := hdc.Train(train, nil, nl)
+		m, _, err := hdc.Train(train, nil, ref)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: encoding ablation %s: %w", name, err)
+			return nil, fmt.Errorf("experiments: model ablation %s: %w", name, err)
 		}
-		lin := base
+		lin := ref
 		lin.Nonlinear = false
 		mLin, _, err := hdc.Train(train, nil, lin)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: encoding ablation %s: %w", name, err)
+			return nil, fmt.Errorf("experiments: model ablation %s: %w", name, err)
 		}
-		rows = append(rows, EncodingAblationRow{
-			Dataset:   name,
-			Nonlinear: mNL.Accuracy(test),
-			Linear:    mLin.Accuracy(test),
+		idl, _, err := hdc.TrainIDLevel(train, hdc.IDLevelConfig{
+			Dim: cfg.FunctionalDim, Levels: 32, Epochs: cfg.Epochs, Seed: cfg.Seed,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: model ablation %s: %w", name, err)
+		}
+		online := func(passes int) (float64, error) {
+			om, _, err := hdc.TrainOnline(train, cfg.FunctionalDim, passes, hdc.OnlineConfig{LearningRate: 1}, true, cfg.Seed)
+			if err != nil {
+				return 0, fmt.Errorf("experiments: model ablation %s: %w", name, err)
+			}
+			om.Metric = hdc.CosineSimilarity
+			return om.Accuracy(test), nil
+		}
+		one, err := online(1)
+		if err != nil {
+			return nil, err
+		}
+		three, err := online(3)
+		if err != nil {
+			return nil, err
+		}
+		bm := m.Binarize()
+		rows = append(rows, ModelRow{
+			Dataset:     name,
+			Tanh:        m.Accuracy(test),
+			Linear:      mLin.Accuracy(test),
+			IDLevel:     idl.Accuracy(test),
+			OnlineOne:   one,
+			OnlineThree: three,
+			Bipolar:     metrics.Accuracy(bm.PredictBatch(test.X), test.Y),
+			FloatBytes:  m.K() * m.Dim() * 4,
+			PackedBytes: bm.Bytes(),
 		})
 	}
 	return rows, nil
 }
 
-// RenderAblationEncoding prints the encoding comparison.
-func RenderAblationEncoding(w io.Writer, rows []EncodingAblationRow) {
+// RenderAblationModel prints the reference model beside each alternative.
+func RenderAblationModel(w io.Writer, rows []ModelRow) {
 	t := &metrics.Table{
-		Title:   "Ablation: non-linear (tanh) vs linear encoding accuracy",
-		Headers: []string{"Dataset", "tanh", "linear", "Δ"},
+		Title: "Ablation: reference model (tanh projection, iterative perceptron, float) vs each alternative",
+		Headers: []string{"Dataset", "tanh", "linear", "ID-level", "online 1 pass", "online 3 passes",
+			"bipolar", "float bytes", "packed bytes", "shrink"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Dataset, metrics.FmtPct(r.Nonlinear), metrics.FmtPct(r.Linear),
-			fmt.Sprintf("%+.1f pts", 100*(r.Nonlinear-r.Linear)))
+		t.AddRow(r.Dataset, metrics.FmtPct(r.Tanh), metrics.FmtPct(r.Linear), metrics.FmtPct(r.IDLevel),
+			metrics.FmtPct(r.OnlineOne), metrics.FmtPct(r.OnlineThree), metrics.FmtPct(r.Bipolar),
+			fmt.Sprint(r.FloatBytes), fmt.Sprint(r.PackedBytes),
+			metrics.FmtX(float64(r.FloatBytes)/float64(r.PackedBytes)))
 	}
 	fprintf(w, "%s\n", t)
 }

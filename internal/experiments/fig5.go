@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"hdcedge/internal/bagging"
 	"hdcedge/internal/dataset"
@@ -18,27 +17,6 @@ type Fig5Row struct {
 	CPU     pipeline.TrainingBreakdown
 	TPU     pipeline.TrainingBreakdown
 	TPUB    pipeline.TrainingBreakdown
-}
-
-// TotalSpeedupTPU returns CPU total / TPU total.
-func (r Fig5Row) TotalSpeedupTPU() float64 {
-	return metrics.Speedup(r.CPU.Total(), r.TPU.Total())
-}
-
-// TotalSpeedupTPUB returns CPU total / TPU_B total.
-func (r Fig5Row) TotalSpeedupTPUB() float64 {
-	return metrics.Speedup(r.CPU.Total(), r.TPUB.Total())
-}
-
-// EncodeSpeedup returns the encoding-phase speedup of the accelerator.
-func (r Fig5Row) EncodeSpeedup() float64 {
-	return metrics.Speedup(r.CPU.Encode, r.TPU.Encode)
-}
-
-// UpdateSpeedup returns the update-phase speedup of bagging over the
-// baseline.
-func (r Fig5Row) UpdateSpeedup() float64 {
-	return metrics.Speedup(r.CPU.Update, r.TPUB.Update)
 }
 
 // Fig5 models the training runtime of all three settings per dataset.
@@ -99,13 +77,4 @@ func RenderFig5(w io.Writer, rows []Fig5Row) {
 		add("TPU_B", r.TPUB)
 	}
 	fprintf(w, "%s\n", t)
-}
-
-// fig5Durations exists for benchmarks that need raw totals.
-func fig5Durations(rows []Fig5Row) []time.Duration {
-	out := make([]time.Duration, 0, len(rows)*3)
-	for _, r := range rows {
-		out = append(out, r.CPU.Total(), r.TPU.Total(), r.TPUB.Total())
-	}
-	return out
 }

@@ -39,14 +39,11 @@ var experimentTable = []experiment{
 	entry("fig9", Fig9, RenderFig9),
 	entry("fig10", Fig10, RenderFig10),
 	entry("table-energy", TableEnergy, RenderTableEnergy),
-	entry("ablation-encoding", AblationEncoding, RenderAblationEncoding),
+	entry("ablation-model", AblationModel, RenderAblationModel),
 	entry("ablation-fused", AblationFusedVsSerial, RenderAblationFusedVsSerial),
 	entry("ablation-subwidth", AblationSubWidth, RenderAblationSubWidth),
 	entry("ablation-batch", AblationBatch, RenderAblationBatch),
 	entry("ablation-robustness", AblationRobustness, RenderAblationRobustness),
-	entry("ablation-online", AblationOnline, RenderAblationOnline),
-	entry("ablation-binary", AblationBinary, RenderAblationBinary),
-	entry("ablation-encoder-compare", AblationEncoderCompare, RenderAblationEncoderCompare),
 	entry("ablation-link", AblationLink, RenderAblationLink),
 	entry("ablation-dim", AblationDim, RenderAblationDim),
 	entry("ablation-overlap", AblationOverlap, RenderAblationOverlap),

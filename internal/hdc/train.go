@@ -77,15 +77,6 @@ func (s *TrainStats) TotalUpdates() int {
 	return total
 }
 
-// TotalMispredictions sums pre-update misses across epochs.
-func (s *TrainStats) TotalMispredictions() int {
-	total := 0
-	for _, e := range s.Epochs {
-		total += e.Mispredictions
-	}
-	return total
-}
-
 // Train builds and trains a model on train, optionally tracking accuracy
 // on val after each epoch.
 func Train(train, val *dataset.Dataset, cfg TrainConfig) (*Model, *TrainStats, error) {

@@ -19,14 +19,6 @@ type EnergyBreakdown struct {
 // Total returns the platform energy.
 func (e EnergyBreakdown) Total() float64 { return e.HostJoules + e.AccelJoules }
 
-// MeanPowerWatts returns the average platform power over duration d.
-func (e EnergyBreakdown) MeanPowerWatts(d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return e.Total() / d.Seconds()
-}
-
 // hostOnlyEnergy charges the host's active power for the whole duration.
 func hostOnlyEnergy(p Platform, d time.Duration) EnergyBreakdown {
 	return EnergyBreakdown{HostJoules: p.Host.ActiveEnergy(d)}

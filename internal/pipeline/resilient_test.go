@@ -313,8 +313,8 @@ func TestHostModelTimePricesInferenceModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := hostcpu.ModelTime(p.Host, small.Model)
-	tl := hostcpu.ModelTime(p.Host, large.Model)
+	ts := hostcpu.ModelTimeRows(p.Host, small.Model, 0)
+	tl := hostcpu.ModelTimeRows(p.Host, large.Model, 0)
 	if ts <= 0 {
 		t.Fatalf("host pricing %v for a real model", ts)
 	}

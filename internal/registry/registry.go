@@ -58,11 +58,6 @@ type Entry struct {
 	// hit pays none of it.
 	Setup time.Duration
 
-	// Integrity, when non-nil, overrides the server-level integrity policy
-	// for this model (per-model canaries must answer against this model's
-	// graph, so they cannot be shared across entries).
-	Integrity *integrity.Policy
-
 	goldenOnce sync.Once
 	golden     *integrity.Golden
 	goldenErr  error
@@ -191,42 +186,10 @@ func (g *Registry) Swap(id string, cm *edgetpu.CompiledModel, bip *hdc.BipolarMo
 	if err != nil {
 		return nil, err
 	}
-	e.Integrity = old.Integrity
 	next := cat.clone()
 	next.entries[id] = e
 	g.cat.Store(next)
 	return e, nil
-}
-
-// SetIntegrity attaches a per-model integrity policy to id (nil clears the
-// override, falling back to the server-level policy). Published entries
-// are immutable, so this installs a fresh Entry at the same Version with
-// the policy attached; the golden cache restarts cold (it recomputes from
-// the same compiled graph).
-func (g *Registry) SetIntegrity(id string, pol *integrity.Policy) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	cat := g.cat.Load()
-	e, ok := cat.entries[id]
-	if !ok {
-		return fmt.Errorf("registry: unregistered model %q", id)
-	}
-	// Field-wise copy: Entry embeds a sync.Once, so it must not be copied
-	// by value.
-	n := &Entry{
-		ID:        e.ID,
-		Version:   e.Version,
-		Compiled:  e.Compiled,
-		Bipolar:   e.Bipolar,
-		Footprint: e.Footprint,
-		BlobBytes: e.BlobBytes,
-		Setup:     e.Setup,
-		Integrity: pol,
-	}
-	next := cat.clone()
-	next.entries[id] = n
-	g.cat.Store(next)
-	return nil
 }
 
 // Get returns the current entry for id. It is lock-free: one atomic load

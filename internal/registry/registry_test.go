@@ -10,7 +10,6 @@ import (
 	"hdcedge/internal/dataset"
 	"hdcedge/internal/edgetpu"
 	"hdcedge/internal/hdc"
-	"hdcedge/internal/integrity"
 	"hdcedge/internal/metrics"
 	"hdcedge/internal/pipeline"
 )
@@ -442,33 +441,5 @@ func TestSwapPublicationAtomicUnderReaders(t *testing.T) {
 	}
 	if e, _ := g.Get("m"); e.Version != swaps+1 {
 		t.Fatalf("final version %d, want %d", e.Version, swaps+1)
-	}
-}
-
-// TestSetIntegrityPreservesPublishedEntries pins the copy-on-write
-// contract: attaching a policy must not mutate the entry a worker already
-// holds — it installs a fresh entry at the same version.
-func TestSetIntegrityPreservesPublishedEntries(t *testing.T) {
-	g := New()
-	if _, err := g.Register("a", testModel(t, 256, 1), nil); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := g.Get("a")
-	pol := &integrity.Policy{}
-	if err := g.SetIntegrity("a", pol); err != nil {
-		t.Fatal(err)
-	}
-	if before.Integrity != nil {
-		t.Fatal("SetIntegrity mutated a published entry in place")
-	}
-	after, _ := g.Get("a")
-	if after == before {
-		t.Fatal("SetIntegrity did not install a fresh entry")
-	}
-	if after.Integrity != pol || after.Version != before.Version || after.Compiled != before.Compiled {
-		t.Fatalf("replacement entry inconsistent: %+v", after)
-	}
-	if err := g.SetIntegrity("ghost", nil); err == nil {
-		t.Fatal("SetIntegrity on unknown model accepted")
 	}
 }

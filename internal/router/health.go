@@ -93,8 +93,8 @@ func (n *nodeSlot) setStateLocked(s NodeState) {
 
 // probe issues one active probe against every node (in parallel, skipping
 // nodes with a probe already in flight) and folds the outcomes into the
-// state machines. Called by the background prober each tick and by
-// CheckNow in tests and single-shot tools.
+// state machines. Called by the background prober each tick, and by tests
+// that drive the state machine one round at a time.
 func (r *Router) probe() {
 	var wg sync.WaitGroup
 	for _, n := range r.nodes {
@@ -175,23 +175,6 @@ func (r *Router) transitionLocked(n *nodeSlot, to NodeState, reason string) {
 	ev.Seq = r.evSeq
 	r.events = append(r.events, ev)
 	r.evMu.Unlock()
-}
-
-// CheckNow runs one synchronous probe round against every node and
-// returns the resulting states. Tests and single-shot tools use it in
-// place of the background prober.
-func (r *Router) CheckNow() []NodeState {
-	r.probe()
-	return r.States()
-}
-
-// States returns each node's current state, indexed by node.
-func (r *Router) States() []NodeState {
-	out := make([]NodeState, len(r.nodes))
-	for i, n := range r.nodes {
-		out[i] = n.getState()
-	}
-	return out
 }
 
 // Events returns a copy of the typed state-transition log, in sequence

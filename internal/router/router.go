@@ -47,7 +47,7 @@ const (
 // Config parameterizes the routing tier.
 type Config struct {
 	// ProbeInterval is the background health-probe period. Zero disables
-	// the background prober; CheckNow still probes on demand.
+	// the background prober.
 	ProbeInterval time.Duration
 
 	// ProbeTimeout bounds one probe request. Zero defaults to 50ms.

@@ -211,16 +211,17 @@ func TestRouterHealthStateMachine(t *testing.T) {
 	}
 	defer r.Close()
 
-	if states := r.CheckNow(); states[0] != NodeUp || states[1] != NodeUp {
+	r.probe()
+	if states := nodeStates(r); states[0] != NodeUp || states[1] != NodeUp {
 		t.Fatalf("healthy fleet probed to %v", states)
 	}
 	failing.Store(true)
-	r.CheckNow()
-	if got := r.States()[0]; got != NodeUp {
+	r.probe()
+	if got := nodeStates(r)[0]; got != NodeUp {
 		t.Fatalf("node 0 %s after one probe failure (threshold 2)", got)
 	}
-	r.CheckNow()
-	if got := r.States()[0]; got != NodeDown {
+	r.probe()
+	if got := nodeStates(r)[0]; got != NodeDown {
 		t.Fatalf("node 0 %s after crossing the failure threshold", got)
 	}
 	// Down nodes are excluded: requests go to node 1 despite the tie-break.
@@ -233,12 +234,12 @@ func TestRouterHealthStateMachine(t *testing.T) {
 	}
 	// Recovery: two clean probes bring it back.
 	failing.Store(false)
-	r.CheckNow()
-	if got := r.States()[0]; got != NodeDown {
+	r.probe()
+	if got := nodeStates(r)[0]; got != NodeDown {
 		t.Fatalf("node 0 %s after one clean probe (recover threshold 2)", got)
 	}
-	r.CheckNow()
-	if got := r.States()[0]; got != NodeUp {
+	r.probe()
+	if got := nodeStates(r)[0]; got != NodeUp {
 		t.Fatalf("node 0 %s after recovery threshold", got)
 	}
 
@@ -280,8 +281,8 @@ func TestRouterDegradedNodeDeWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.CheckNow()
-	if got := r.States()[0]; got != NodeDegraded {
+	r.probe()
+	if got := nodeStates(r)[0]; got != NodeDegraded {
 		t.Fatalf("slow node %s, want degraded", got)
 	}
 	if h := r.Health(); h != serve.Degraded {
@@ -487,4 +488,13 @@ func TestRouterDrainShedsNewWork(t *testing.T) {
 		t.Fatalf("post-drain Do returned %v, want draining shed", err)
 	}
 	checkInvariant(t, r.Report())
+}
+
+// nodeStates returns each node's current state, indexed by node.
+func nodeStates(r *Router) []NodeState {
+	out := make([]NodeState, len(r.nodes))
+	for i, n := range r.nodes {
+		out[i] = n.getState()
+	}
+	return out
 }

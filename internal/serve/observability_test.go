@@ -450,21 +450,41 @@ func TestSnapshotMonotoneUnderSaturatedFleet(t *testing.T) {
 		}
 	}()
 
-	const n = 300
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		fill := rowFill(ds, i%ds.Samples())
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Sheds are expected at this offered load; every outcome counts.
-			s.Do(context.Background(), fill, nil)
-		}()
-		if i%8 == 0 {
-			time.Sleep(50 * time.Microsecond)
+	// The scheduler promises no split of the load between the two
+	// workers, so one round of 300 requests can leave one of them idle.
+	// Offer rounds until the report shows that each worker served, up to
+	// a cap.
+	const n, maxRounds = 300, 20
+	invokes := func(rep ServeReport, class string) int {
+		for _, b := range rep.Backends {
+			if b.Name == class {
+				return b.Invokes
+			}
 		}
+		return 0
 	}
-	wg.Wait()
+	for round := 0; ; round++ {
+		if rep := s.Report(); invokes(rep, "tpu") > 0 && invokes(rep, "cpu") > 0 {
+			break
+		}
+		if round == maxRounds {
+			t.Fatalf("a worker stayed idle through %d rounds of %d requests:\n%s", maxRounds, n, s.Report())
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			fill := rowFill(ds, i%ds.Samples())
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Sheds are expected at this offered load; every outcome counts.
+				s.Do(context.Background(), fill, nil)
+			}()
+			if i%8 == 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		wg.Wait()
+	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -480,12 +500,13 @@ func TestSnapshotMonotoneUnderSaturatedFleet(t *testing.T) {
 	}
 	assertSnapshotMatchesReport(t, s)
 
-	// Both backend classes must have streamed per-worker telemetry.
+	// Both workers served, so both must have streamed per-worker
+	// telemetry, one backend invoke per invoke the report counts.
 	snap := s.Metrics().Snapshot()
 	for i, class := range []string{"tpu", "cpu"} {
 		name := workerSeries("hdc_backend_invokes_total", "", i, class, cm)
-		if snap.Counters[name] == 0 {
-			t.Errorf("no live invokes recorded for %s: %v", name, snap.Names())
+		if got, want := snap.Counters[name], invokes(rep, class); got != int64(want) || got == 0 {
+			t.Errorf("%s = %d, report counts %d invokes: %v", name, got, want, snap.Names())
 		}
 	}
 }

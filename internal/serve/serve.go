@@ -750,12 +750,10 @@ func (s *Server) bindIntegrity(w *worker, b *modelBind, labels string) (*integri
 		return nil, nil
 	}
 	pol := s.cfg.Integrity
-	if b.entry.Integrity != nil {
-		pol = b.entry.Integrity
-	} else if pol != nil && b.entry.ID != s.defModel && len(pol.Canaries) > 0 {
+	if pol != nil && b.entry.ID != s.defModel && len(pol.Canaries) > 0 {
 		// The server-level canaries answer against the default model only;
 		// a different model would fail them while healthy. Other models run
-		// scrub-only unless their entry carries a policy.
+		// scrub-only.
 		stripped := *pol
 		stripped.Canaries = nil
 		stripped.CanaryInterval = 0

@@ -138,15 +138,6 @@ func FromFloat32(data []float32, shape ...int) *Tensor {
 	return &Tensor{DType: Float32, Shape: s.Clone(), F32: data}
 }
 
-// FromInt8 wraps data (not copied) in an int8 tensor.
-func FromInt8(data []int8, q *QuantParams, shape ...int) *Tensor {
-	s := Shape(shape)
-	if len(data) != s.Elems() {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), s))
-	}
-	return &Tensor{DType: Int8, Shape: s.Clone(), I8: data, Quant: q}
-}
-
 // Elems returns the number of elements.
 func (t *Tensor) Elems() int { return t.Shape.Elems() }
 
@@ -236,15 +227,6 @@ func (t *Tensor) ViewRows(lo, hi int) *Tensor {
 		v.U8 = t.U8[a:b]
 	}
 	return v
-}
-
-// RowI8 returns a view of row r of a 2-D int8 tensor.
-func (t *Tensor) RowI8(r int) []int8 {
-	if t.DType != Int8 || len(t.Shape) != 2 {
-		panic("tensor: RowI8 requires a 2-D int8 tensor")
-	}
-	cols := t.Shape[1]
-	return t.I8[r*cols : (r+1)*cols]
 }
 
 // String renders a short description, not the data.

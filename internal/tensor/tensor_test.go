@@ -76,7 +76,7 @@ func TestCloneDeep(t *testing.T) {
 		t.Error("Clone shares float data")
 	}
 	q := QuantParams{Scale: 0.5, ZeroPoint: 3}
-	c := FromInt8([]int8{1, 2}, &q, 2)
+	c := fromInt8([]int8{1, 2}, &q, 2)
 	d := c.Clone()
 	d.Quant.Scale = 9
 	if c.Quant.Scale != 0.5 {
@@ -86,7 +86,7 @@ func TestCloneDeep(t *testing.T) {
 
 func TestAtDequantizes(t *testing.T) {
 	q := QuantParams{Scale: 0.5, ZeroPoint: 2}
-	tn := FromInt8([]int8{4}, &q, 1)
+	tn := fromInt8([]int8{4}, &q, 1)
 	if got := tn.At(0); got != 1.0 {
 		t.Errorf("At = %v, want 1.0", got)
 	}
@@ -231,7 +231,7 @@ func TestTransposeTwiceIsIdentity(t *testing.T) {
 
 func TestTransposeInt8KeepsQuant(t *testing.T) {
 	q := QuantParams{Scale: 2, ZeroPoint: 1}
-	a := FromInt8([]int8{1, 2, 3, 4}, &q, 2, 2)
+	a := fromInt8([]int8{1, 2, 3, 4}, &q, 2, 2)
 	at := Transpose(a)
 	if at.Quant == nil || at.Quant.Scale != 2 {
 		t.Fatal("Transpose dropped quant params")
@@ -413,4 +413,9 @@ func newTestRNG(seed uint64) func() uint64 {
 		state ^= state << 17
 		return state
 	}
+}
+
+// fromInt8 wraps data (not copied) in an int8 tensor.
+func fromInt8(data []int8, q *QuantParams, shape ...int) *Tensor {
+	return &Tensor{DType: Int8, Shape: Shape(shape), I8: data, Quant: q}
 }

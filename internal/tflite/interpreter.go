@@ -84,16 +84,6 @@ func (it *Interpreter) Output(i int) *tensor.Tensor {
 // Tensor returns the runtime tensor at graph index idx.
 func (it *Interpreter) Tensor(idx int) *tensor.Tensor { return it.tensors[idx] }
 
-// TensorRows returns the tensor at graph index idx as seen by a rows-limited
-// invoke: constants in full, activations as a cached prefix view of rows
-// leading rows. rows <= 0 (or >= the batch capacity) returns the full tensor.
-func (it *Interpreter) TensorRows(idx, rows int) *tensor.Tensor {
-	if rows <= 0 || rows >= it.capacity {
-		return it.tensors[idx]
-	}
-	return it.viewFor(idx, rows)
-}
-
 // viewFor resolves graph index ti for a rows-limited execution. Constant
 // tensors (weights, biases, axes) are never clipped; activations resolve to
 // a cached prefix view sharing the full tensor's storage.
@@ -115,15 +105,10 @@ func (it *Interpreter) viewFor(ti, rows int) *tensor.Tensor {
 	return vs[ti]
 }
 
-// InvokeOp executes the single operator at index i. It lets a delegate
-// runtime (the Edge TPU simulator) interleave its own kernels with the
-// reference CPU kernels while sharing one tensor store.
-func (it *Interpreter) InvokeOp(i int) error {
-	return it.InvokeOpRows(i, 0)
-}
-
 // InvokeOpRows executes the single operator at index i on the first rows
-// sample rows only. rows <= 0 (or >= the batch capacity) executes the full
+// sample rows only. It lets a delegate runtime (the Edge TPU simulator)
+// interleave its own kernels with the reference CPU kernels while sharing
+// one tensor store. rows <= 0 (or >= the batch capacity) executes the full
 // batch; anything between requires a RowSliceable model.
 func (it *Interpreter) InvokeOpRows(i, rows int) error {
 	if i < 0 || i >= len(it.model.Operators) {

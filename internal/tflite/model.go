@@ -236,14 +236,3 @@ func (m *Model) RowSliceable() bool {
 	}
 	return true
 }
-
-// TensorByName returns the index of the first tensor with the given name,
-// or -1.
-func (m *Model) TensorByName(name string) int {
-	for i, t := range m.Tensors {
-		if t.Name == name {
-			return i
-		}
-	}
-	return -1
-}

