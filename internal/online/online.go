@@ -495,15 +495,21 @@ func (t *Trainer) loop() {
 	}
 }
 
-// apply folds one feedback sample into its model's private copy. It ends
-// with a scheduler yield for the same reason refinement yields per
-// sample: draining a backlog of queued feedback must not hold a core for
-// the runtime's full preemption quantum while serving workers wait.
+// apply folds one feedback sample into its model's private copy. While
+// more feedback is queued it ends with a scheduler yield, for the same
+// reason refinement yields per sample: draining a backlog must not hold a
+// core for the runtime's full preemption quantum while serving workers
+// wait. With the queue empty the next receive parks the goroutine anyway;
+// a yield there only wakes an idle P to spin, and on a 2-core host that
+// churn delayed the serving workers' pace timers.
 func (t *Trainer) apply(fb Feedback) {
 	defer func() {
 		t.processed.Add(1)
-		t.queueDepth.Set(int64(len(t.ch)))
-		runtime.Gosched()
+		n := len(t.ch)
+		t.queueDepth.Set(int64(n))
+		if n > 0 {
+			runtime.Gosched()
+		}
 	}()
 	t.feedback.Inc()
 	id := fb.Model
@@ -557,7 +563,17 @@ func (t *Trainer) apply(fb Feedback) {
 // in-flight requests for the runtime's whole preemption quantum — a
 // stall that surfaces directly in the serving tail. Yielding caps the
 // worst-case worker wait at one sample's encode.
+//
+// The goroutine holds its OS thread for the whole regeneration, so each
+// yield parks the thread and hands both the P and the core to the serving
+// workers. An unlocked yield keeps the thread running and lets the
+// trainer hop to the P whose timer heap holds the workers' pace timers;
+// on a 2-core host that delayed those timers by several milliseconds
+// through every regeneration, and the drift ablation's online p99 read
+// 1.2-1.5x the frozen cell's in nearly every solo run.
 func (t *Trainer) regenerate(st *modelState) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	if _, err := st.model.Regenerate(t.cfg.RegenFraction, st.r.Split()); err != nil {
 		t.pubErrs.Inc()
 		return
